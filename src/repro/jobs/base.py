@@ -35,23 +35,15 @@ class Job(ABC):
     Subclasses must call ``super().__init__`` and implement the abstract
     methods.  All per-step quantities follow the paper's conventions:
     ``desire(alpha) = d(Ji, alpha, t)`` is the number of ready
-    ``alpha``-tasks, and an allotment never exceeds the desire.
+    ``alpha``-tasks, and an allotment never exceeds the desire.  Both
+    engines poll :meth:`desire_vector` once per live job per step, so a
+    backend's desires may depend on anything it tracks (e.g. a warm-up
+    window); only the fast engine's lean kernel, reserved for exact
+    :class:`~repro.jobs.phase_job.PhaseJob` runs, derives desires from
+    its own state arrays instead.
     """
 
     __slots__ = ("job_id", "release_time", "completion_time")
-
-    #: The **delta contract**: True declares that :meth:`desire_vector`
-    #: is a pure read whose value changes only through :meth:`execute`
-    #: and :meth:`fail_tasks`.  The fast engine caches desires across
-    #: steps for such backends, refreshing only jobs that executed or
-    #: failed tasks.  The conservative default, False, makes the fast
-    #: engine re-poll every live job every step — exactly the reference
-    #: engine's behaviour — so time- or poll-dependent desires (e.g. a
-    #: warm-up window) stay correct.  In-repo backends
-    #: (:class:`~repro.jobs.dag_job.DagJob`,
-    #: :class:`~repro.jobs.phase_job.PhaseJob`) honour the contract and
-    #: opt in.
-    incremental_desires: bool = False
 
     def __init__(self, job_id: int, release_time: int = 0) -> None:
         if release_time < 0:
@@ -119,36 +111,6 @@ class Job(ABC):
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support task-level faults"
-        )
-
-    # ------------------------------------------------------------------
-    # steady-state surface (fast-engine bulk advance)
-    # ------------------------------------------------------------------
-    def steady_steps(self) -> int:
-        """How many further fully-satisfied steps leave the desire unchanged.
-
-        Desires change only through :meth:`execute` and :meth:`fail_tasks`
-        (the delta contract the incremental engine relies on), so a backend
-        that can *predict* its desire trajectory may return the largest
-        ``s >= 0`` such that executing the current desire vector for ``s``
-        consecutive steps keeps the desire constant and completes nothing —
-        letting the fast engine advance those steps analytically via
-        :meth:`advance_steady`.  The default, 0, opts out: the engine then
-        never bulk-advances this job.
-        """
-        return 0
-
-    def advance_steady(self, steps: int) -> None:
-        """Apply ``steps`` fully-satisfied unit steps in one call.
-
-        Only called by the fast engine, and only with
-        ``1 <= steps <= self.steady_steps()``; must leave the job in the
-        exact state ``steps`` calls of ``execute(desire_vector(), ...)``
-        would.  Backends returning 0 from :meth:`steady_steps` never
-        receive this call.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support steady-state advance"
         )
 
     # ------------------------------------------------------------------

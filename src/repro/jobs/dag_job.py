@@ -37,9 +37,6 @@ class DagJob(Job):
         step ``t >= release_time``).
     """
 
-    #: desires are a pure function of the ready frontier (delta contract)
-    incremental_desires = True
-
     __slots__ = (
         "_dag",
         "_ready",

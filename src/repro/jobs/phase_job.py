@@ -72,9 +72,6 @@ class Phase:
 class PhaseJob(Job):
     """A job executing a fixed sequence of phase-parallel profiles."""
 
-    #: desires are a pure function of executed work (delta contract)
-    incremental_desires = True
-
     __slots__ = (
         "_phases",
         "_phase_idx",
@@ -163,45 +160,10 @@ class PhaseJob(Job):
                     self._remaining = self._phases[self._phase_idx].work.copy()
         return executed
 
-    # ------------------------------------------------------------------
-    # steady-state surface (fast-engine bulk advance)
-    # ------------------------------------------------------------------
     @property
     def phase_remaining(self) -> np.ndarray:
         """Unexecuted work of the *current* phase (copy; diagnostics)."""
         return self._remaining.copy()
-
-    def steady_steps(self) -> int:
-        """Steps the current desire survives under full allotment.
-
-        With desire ``d = min(p, remaining)``, executing ``d`` keeps the
-        desire at ``d`` exactly while ``remaining - i*d >= d`` in every
-        active category (the phase barrier is not approached), i.e. for
-        ``min_alpha(remaining // d) - 1`` further steps.  Inactive
-        categories have ``remaining == 0`` and stay untouched.
-        """
-        if self.is_complete:
-            return 0
-        phase = self._phases[self._phase_idx]
-        d = np.minimum(phase.parallelism, self._remaining)
-        active = d > 0
-        if not active.any():
-            return 0
-        s = int((self._remaining[active] // d[active]).min()) - 1
-        return s if s > 0 else 0
-
-    def advance_steady(self, steps: int) -> None:
-        phase = self._phases[self._phase_idx]
-        d = np.minimum(phase.parallelism, self._remaining)
-        self._last_phase_idx = self._phase_idx
-        self._remaining = self._remaining - steps * d
-        self._executed_counter += steps * int(d.sum())
-        if (self._remaining < d).any():
-            raise WorkloadError(
-                f"job {self.job_id}: steady advance of {steps} steps "
-                f"crossed a phase barrier (remaining "
-                f"{self._remaining.tolist()}, desire {d.tolist()})"
-            )
 
     def fail_tasks(self, failed: list[list[int]]) -> None:
         """Return the given units to the phase that executed them.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import SerializationError, SimulationError
 
 __all__ = ["ChurnEvent", "ChurnSchedule"]
 
@@ -85,15 +85,28 @@ class ChurnEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ChurnEvent":
-        return cls(
-            step=int(data["step"]),
-            category=int(data["category"]),
-            delta=int(data["delta"]),
-            duration=(
-                None if data.get("duration") is None
-                else int(data["duration"])
-            ),
-        )
+        if not isinstance(data, dict):
+            raise SerializationError(
+                f"churn event must be a mapping, got {type(data).__name__}"
+            )
+        fields: dict[str, int | None] = {}
+        for key in ("step", "category", "delta", "duration"):
+            raw = data.get(key)
+            if raw is None:
+                if key != "duration":
+                    raise SerializationError(
+                        f"churn event is missing field {key!r}"
+                    )
+                fields[key] = None
+                continue
+            try:
+                fields[key] = int(raw)
+            except (TypeError, ValueError):
+                raise SerializationError(
+                    f"churn event field {key!r} must be an integer, got "
+                    f"{raw!r}"
+                ) from None
+        return cls(**fields)
 
 
 class ChurnSchedule:
@@ -171,8 +184,6 @@ class ChurnSchedule:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ChurnSchedule":
-        from repro.errors import SerializationError
-
         if (
             not isinstance(data, dict)
             or data.get("format") != "churn-schedule"
@@ -183,9 +194,21 @@ class ChurnSchedule:
                 f"unsupported churn-schedule version "
                 f"{data.get('version')!r}"
             )
+        for key in ("nominal", "events"):
+            if not isinstance(data.get(key), (list, tuple)):
+                raise SerializationError(
+                    f"churn-schedule field {key!r} must be a list, got "
+                    f"{data.get(key)!r}"
+                )
+        try:
+            nominal = [int(c) for c in data["nominal"]]
+        except (TypeError, ValueError):
+            raise SerializationError(
+                f"churn-schedule field 'nominal' must hold integers, got "
+                f"{data['nominal']!r}"
+            ) from None
         return cls(
-            data["nominal"],
-            [ChurnEvent.from_dict(ev) for ev in data["events"]],
+            nominal, [ChurnEvent.from_dict(ev) for ev in data["events"]]
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

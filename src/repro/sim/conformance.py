@@ -13,6 +13,11 @@ through each engine and compares everything observable:
 >>> report.ok
 True
 
+Every scenario is also run once more per engine *untraced* — the regime
+where the fast engine takes its lean kernel (recording a trace turns it
+off) — and the result fingerprint, the final state ``digest()`` and a
+``checkpoint()`` taken half way through must match too.
+
 ``build`` is a zero-argument factory returning the keyword arguments of
 :func:`~repro.sim.engine.simulate` (minus ``engine``); it is invoked
 once *per engine* because schedulers, job sets, fault models and churn
@@ -32,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ReproError
-from repro.sim.engine import simulate
+from repro.sim.engine import engine_class, simulate
 from repro.sim.journal import Journal, read_journal
 from repro.sim.metrics import summarize_result, summarize_robustness
 from repro.sim.results import SimulationResult
@@ -95,6 +100,9 @@ class ConformanceReport:
     mismatches: list[str] = field(default_factory=list)
     #: per-engine action log of a sliced run (empty for batch runs)
     slices: dict[str, list] = field(default_factory=dict)
+    #: per-engine result fingerprint, final digest and mid-run checkpoint
+    #: of the untraced run (empty for sliced runs)
+    untraced: dict[str, dict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -112,6 +120,33 @@ def _first_trace_divergence(a: dict, b: dict) -> str:
     return f"step counts differ: {len(a['steps'])} vs {len(b['steps'])}"
 
 
+def _untraced_run(build: Callable[[], dict], engine: str, t_mid: int) -> dict:
+    """Run ``build``'s scenario untraced, pausing at ``t_mid``.
+
+    Returns the result fingerprint, the final state digest and the
+    checkpoint taken at the pause (``None`` if the run was over by then).
+    """
+    kwargs = build()
+    kwargs.pop("journal", None)
+    kwargs["record_trace"] = False
+    sim = engine_class(engine)(
+        kwargs.pop("machine"),
+        kwargs.pop("scheduler"),
+        kwargs.pop("jobset"),
+        **kwargs,
+    )
+    result = sim.run_until(t_mid)
+    checkpoint = None
+    if result is None:
+        checkpoint = sim.checkpoint()
+        result = sim.run()
+    return {
+        "result": result_fingerprint(result),
+        "digest": sim.digest(),
+        "checkpoint": checkpoint,
+    }
+
+
 def run_conformance(
     build: Callable[[], dict],
     *,
@@ -120,16 +155,21 @@ def run_conformance(
 ) -> ConformanceReport:
     """Run one scenario through each engine and compare everything.
 
-    With ``check_journal`` the scenario is additionally journaled to a
-    temporary file per engine and the per-step state digests compared —
-    the strongest equivalence check available, covering clock, counters,
-    RNG, job runtime state and scheduler state after *every* step.
+    Each engine also runs the scenario untraced, paused half way through
+    the first engine's makespan for a checkpoint (see the module
+    docstring).  With ``check_journal`` the scenario is additionally
+    journaled to a temporary file per engine and the per-step state
+    digests compared — the strongest equivalence check available,
+    covering clock, counters, RNG, job runtime state and scheduler state
+    after *every* step.
     """
     fingerprints: dict[str, dict] = {}
     traces: dict[str, dict | None] = {}
     metrics: dict[str, dict] = {}
     robustness: dict[str, dict] = {}
     journal_digests: dict[str, list] = {}
+    untraced: dict[str, dict] = {}
+    t_mid = None
     for engine in engines:
         kwargs = build()
         machine = kwargs.pop("machine")
@@ -145,6 +185,9 @@ def run_conformance(
         result = simulate(
             machine, scheduler, jobset, engine=engine, **kwargs
         )
+        if t_mid is None:
+            t_mid = result.makespan // 2
+        untraced[engine] = _untraced_run(build, engine, t_mid)
         fingerprints[engine] = result_fingerprint(result)
         traces[engine] = trace_fingerprint(result)
         metrics[engine] = (
@@ -182,6 +225,7 @@ def run_conformance(
         metrics=metrics,
         robustness=robustness,
         journal_digests=journal_digests,
+        untraced=untraced,
     )
     _diff_reports(report, check_journal=check_journal)
     return report
@@ -215,6 +259,18 @@ def _diff_reports(report: ConformanceReport, *, check_journal: bool) -> None:
             )
             report.mismatches.append(
                 f"trace mismatch {base} vs {other}: {detail}"
+            )
+        if report.untraced and report.untraced[base] != report.untraced[other]:
+            a, b = report.untraced[base], report.untraced[other]
+            parts = [k for k in a if a[k] != b[k]]
+            if a["checkpoint"] is not None and b["checkpoint"] is not None:
+                parts += [
+                    f"checkpoint.{k}"
+                    for k in a["checkpoint"]
+                    if a["checkpoint"][k] != b["checkpoint"].get(k)
+                ]
+            report.mismatches.append(
+                f"untraced run mismatch {base} vs {other} in {parts}"
             )
         if report.slices and report.slices[base] != report.slices[other]:
             pairs = zip(report.slices[base], report.slices[other])
@@ -289,15 +345,13 @@ def run_sliced_conformance(
     the slice logs must match *action by action*, so a divergence
     pinpoints the exact inject/advance that broke equivalence rather
     than surfacing as a different final makespan.  The script's residue
-    is then finalized with ``run()`` and compared with the full batch
-    fingerprint/trace/metrics machinery.  With ``check_journal`` each
-    engine additionally journals the driven run and the journal's
-    step/submit/cancel record sequence (with per-step digests) must
-    match — proving the service's crash-recovery substrate is
-    engine-independent.
+    is then finalized with ``run()`` (whose final digest is logged too)
+    and compared with the full batch fingerprint/trace/metrics
+    machinery.  With ``check_journal`` each engine additionally journals
+    the driven run and the journal's step/submit/cancel record sequence
+    (with per-step digests) must match — proving the service's
+    crash-recovery substrate is engine-independent.
     """
-    from repro.sim.engine import engine_class
-
     fingerprints: dict[str, dict] = {}
     traces: dict[str, dict | None] = {}
     robustness: dict[str, dict] = {}
@@ -352,6 +406,7 @@ def run_sliced_conformance(
                         f"unknown sliced-conformance action {action!r}"
                     )
             result = sim.run()
+            log.append(("run", sim.clock, sim.digest()))
             if check_journal:
                 records, _, clean = read_journal(journal.path)
                 digests = []

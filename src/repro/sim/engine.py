@@ -52,7 +52,9 @@ capacity schedule, churn schedule, fault model, retry policy, supervisor).
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
+from numbers import Integral
 from time import perf_counter
 
 import numpy as np
@@ -89,45 +91,57 @@ _DEFAULT_ENGINE = "reference"
 
 _CHECKPOINT_VERSION = 2
 
-#: top-level / engine keys a checkpoint document must carry; validated up
-#: front so a malformed document fails with a clear SerializationError
-#: instead of a KeyError deep in deserialization
-_CHECKPOINT_KEYS = (
-    "machine",
-    "scheduler",
-    "rng",
-    "engine",
-    "jobs",
-    "alive",
-    "resubmit",
-    "quarantined",
-    "trace",
-)
-_ENGINE_KEYS = (
-    "t",
-    "next_pending",
-    "idle_steps",
-    "stall_steps",
-    "stall_run",
-    "longest_stall",
-    "makespan",
-    "busy",
-    "wasted",
-    "completion",
-    "release",
-    "attempts",
-    "failed_jobs",
-    "max_steps",
-    "max_stall_steps",
-    "validate",
-    "has_fault_model",
-    "has_capacity_schedule",
-    "has_churn",
-    "has_supervisor",
-    "last_caps",
-    "incidents",
-    "quarantined_ids",
-)
+#: top-level / engine keys a checkpoint document must carry, with the type
+#: each holds; validated up front so a malformed document fails with a
+#: clear SerializationError instead of a KeyError or TypeError deep in
+#: deserialization (``object``: any value)
+_CHECKPOINT_KEYS = {
+    "machine": dict,
+    "scheduler": dict,
+    "rng": dict,
+    "engine": dict,
+    "jobs": list,
+    "alive": list,
+    "resubmit": list,
+    "quarantined": list,
+    "trace": (dict, type(None)),
+}
+_ENGINE_KEYS = {
+    "t": Integral,
+    "next_pending": Integral,
+    "idle_steps": Integral,
+    "stall_steps": Integral,
+    "stall_run": Integral,
+    "longest_stall": Integral,
+    "makespan": Integral,
+    "busy": list,
+    "wasted": list,
+    "completion": dict,
+    "release": dict,
+    "attempts": dict,
+    "failed_jobs": list,
+    "max_steps": Integral,
+    "max_stall_steps": Integral,
+    "validate": object,
+    "has_fault_model": object,
+    "has_capacity_schedule": object,
+    "has_churn": object,
+    "has_supervisor": object,
+    "last_caps": list,
+    "incidents": list,
+    "quarantined_ids": list,
+}
+_SCHEDULER_KEYS = {"name": str, "state": object}
+
+
+def _check_section(doc: dict, keys: dict, where: str) -> None:
+    """Raise SerializationError unless ``doc`` holds every key, typed."""
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise SerializationError(f"{where} is missing keys {missing}")
+    wrong = [k for k, kind in keys.items() if not isinstance(doc[k], kind)]
+    if wrong:
+        raise SerializationError(f"{where} has wrongly typed keys {wrong}")
 
 
 def engine_class(name: str | None = None) -> "type[Simulator]":
@@ -388,6 +402,8 @@ class Simulator:
                 # time is separately bounded by max_stall_steps.
                 max_steps = 32 * max_steps + self._max_stall_steps
         self._max_steps = int(max_steps)
+        #: clock target of the current stepping loop (see _step_until)
+        self._t_stop: float = math.inf
         self._state: _RunState | None = None
         self._result: SimulationResult | None = None
 
@@ -461,6 +477,17 @@ class Simulator:
             candidates.append(st.resubmit[0][0])
         return min(candidates) if candidates else None
 
+    def _step_until(self, t_stop: float) -> None:
+        """Step while work remains and the clock is before ``t_stop``.
+
+        The target is kept on the engine so a step that covers several
+        clock ticks at once (the fast engine's quiescent-span skip) never
+        carries the clock past it.
+        """
+        self._t_stop = t_stop
+        while self._unfinished() and self._state.t < t_stop:
+            self._step()
+
     # ------------------------------------------------------------------
     def run(self, *, validate: bool = False) -> SimulationResult:
         """Execute to completion and return the result.
@@ -488,8 +515,7 @@ class Simulator:
                 "construct the Simulator with record_trace=True"
             )
         self._ensure_started()
-        while self._unfinished():
-            self._step()
+        self._step_until(math.inf)
         result = self._finalize()
         if validate:
             from repro.sim.validate import validate_schedule
@@ -511,8 +537,7 @@ class Simulator:
         if self._result is not None:
             return self._result
         self._ensure_started()
-        while self._unfinished() and self._state.t < t_stop:
-            self._step()
+        self._step_until(t_stop)
         if self._unfinished():
             return None
         return self._finalize()
@@ -546,8 +571,7 @@ class Simulator:
                 "advance_until needs a live run"
             )
         self._ensure_started()
-        while self._unfinished() and self._state.t < t_stop:
-            self._step()
+        self._step_until(t_stop)
         return not self._unfinished()
 
     def inject_job(
@@ -766,8 +790,17 @@ class Simulator:
         return worst
 
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """One time step (phases 1-4 plus fault injection)."""
+    def _begin_step(
+        self,
+    ) -> tuple[int, list[int], tuple[int, ...], KResourceMachine]:
+        """Open one time step: the prologue every step kernel shares.
+
+        Starts the step's telemetry, ticks the clock (bounded by the
+        ``max_steps`` valve), fast-forwards an idle interval, moves the
+        released jobs into the live set, and binds the scheduler to this
+        step's capacities.  Returns ``(t, arrivals, caps_t,
+        step_machine)``.
+        """
         machine = self._machine
         scheduler = self._scheduler
         st = self._state
@@ -848,6 +881,49 @@ class Simulator:
             st.last_caps = caps_t
         if prof is not None:
             prof.lap("capacity")
+        return t, arrivals, caps_t, step_machine
+
+    def _account_stall(self, t: int, progress: int, active: bool) -> bool:
+        """Stall bookkeeping after execution; returns whether ``t`` stalled.
+
+        ``active`` says whether any live job reported a non-zero desire.
+        Callers only evaluate it on zero-progress steps, so the activity
+        scan costs nothing on the hot path; a step where every live job
+        reports an all-zero desire (e.g. warm-up phases) is quiescent,
+        not a work-conservation violation.
+        """
+        st = self._state
+        if progress:
+            st.stall_run = 0
+            return False
+        if not active:
+            return False
+        if not self._faulty:
+            raise SimulationError(
+                f"step {t}: scheduler {self._scheduler.name!r} executed "
+                f"nothing while {len(st.alive)} jobs are active — not "
+                "work-conserving"
+            )
+        # A stall: live jobs, zero progress (e.g. every demanded category
+        # dark).  Absorbed, counted, and bounded.
+        st.stall_run += 1
+        st.stall_steps += 1
+        st.longest_stall = max(st.longest_stall, st.stall_run)
+        if st.stall_run > self._max_stall_steps:
+            raise SimulationError(
+                f"step {t}: no progress for {st.stall_run} consecutive "
+                f"steps with {len(st.alive)} jobs alive — the machine "
+                f"never recovered (max_stall_steps {self._max_stall_steps})"
+            )
+        return True
+
+    def _step(self) -> None:
+        """One time step (phases 1-4 plus fault injection)."""
+        scheduler = self._scheduler
+        st = self._state
+        obs = self._obs
+        prof = obs.profiler if obs is not None else None
+        t, arrivals, caps_t, step_machine = self._begin_step()
 
         desires = {jid: job.desire_vector() for jid, job in st.alive.items()}
         if prof is not None:
@@ -885,35 +961,11 @@ class Simulator:
         if prof is not None:
             prof.lap("supervise")
 
-        stalled = False
-        if progress == 0 and desires and any(
-            d.any() for d in desires.values()
-        ):
-            # The activity test is only evaluated on zero-progress steps,
-            # so it costs nothing on the hot path; a step where every live
-            # job reports an all-zero desire (e.g. warm-up phases) is
-            # quiescent, not a work-conservation violation.
-            if not self._faulty:
-                raise SimulationError(
-                    f"step {t}: scheduler {scheduler.name!r} executed "
-                    f"nothing while {len(desires)} jobs are active — not "
-                    "work-conserving"
-                )
-            # A stall: live jobs, zero progress (e.g. every demanded
-            # category dark).  Absorbed, counted, and bounded.
-            stalled = True
-            st.stall_run += 1
-            st.stall_steps += 1
-            st.longest_stall = max(st.longest_stall, st.stall_run)
-            if st.stall_run > self._max_stall_steps:
-                raise SimulationError(
-                    f"step {t}: no progress for {st.stall_run} consecutive "
-                    f"steps with {len(st.alive)} jobs alive — the machine "
-                    "never recovered (max_stall_steps "
-                    f"{self._max_stall_steps})"
-                )
-        elif progress:
-            st.stall_run = 0
+        stalled = self._account_stall(
+            t,
+            progress,
+            progress == 0 and any(d.any() for d in desires.values()),
+        )
 
         if self._on_step is not None:
             self._on_step(t, st.alive)
@@ -1179,20 +1231,13 @@ class Simulator:
         n_arrivals: int,
         n_completions: int,
         stalled: bool,
-        desired_tot=None,
     ) -> None:
-        """Per-step telemetry for dict-shaped step loops.
-
-        ``desired_tot`` lets the fast engine pass the pre-execution
-        column sums of its desire matrix (its dict form may not exist);
-        when omitted it is summed from ``desires``.
-        """
+        """Per-step telemetry for the dict-shaped reference step."""
         obs = self._obs
         k = self._machine.num_categories
-        if desired_tot is None:
-            desired_tot = np.zeros(k, dtype=np.int64)
-            for d in desires.values():
-                desired_tot += np.asarray(d, dtype=np.int64)
+        desired_tot = np.zeros(k, dtype=np.int64)
+        for d in desires.values():
+            desired_tot += np.asarray(d, dtype=np.int64)
         allocated_tot = np.zeros(k, dtype=np.int64)
         for a in allotments.values():
             allocated_tot += np.asarray(a, dtype=np.int64)
@@ -1500,7 +1545,8 @@ class Simulator:
         snapshot), the policy and the capacity/fault/retry/supervisor/
         churn hooks — they must match the original run for the resumed
         result to be identical.  A malformed document (wrong format,
-        unknown version, missing sections) fails up front with
+        unknown version, missing or wrongly typed sections, a scheduler
+        state the scheduler cannot load) fails with
         :class:`~repro.errors.SerializationError` naming the problem.
         """
         from repro.io.serialize import (
@@ -1516,19 +1562,12 @@ class Simulator:
                 f"unsupported checkpoint version {data.get('version')!r} "
                 f"(this build reads version {_CHECKPOINT_VERSION})"
             )
-        missing = [k for k in _CHECKPOINT_KEYS if k not in data]
-        if missing:
-            raise SerializationError(
-                f"checkpoint document is missing keys {missing}"
-            )
+        _check_section(data, _CHECKPOINT_KEYS, "checkpoint document")
         eng = data["engine"]
-        if not isinstance(eng, dict):
-            raise SerializationError("checkpoint 'engine' must be a mapping")
-        missing = [k for k in _ENGINE_KEYS if k not in eng]
-        if missing:
-            raise SerializationError(
-                f"checkpoint engine section is missing keys {missing}"
-            )
+        _check_section(eng, _ENGINE_KEYS, "checkpoint engine section")
+        _check_section(
+            data["scheduler"], _SCHEDULER_KEYS, "checkpoint scheduler section"
+        )
         if eng["has_fault_model"] != (fault_model is not None):
             raise SimulationError(
                 "checkpointed run and restore disagree on fault_model "
@@ -1574,7 +1613,13 @@ class Simulator:
             obs=obs,
         )
         scheduler.reset(machine)
-        scheduler.load_state_dict(data["scheduler"]["state"])
+        try:
+            scheduler.load_state_dict(data["scheduler"]["state"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"checkpoint scheduler state does not load into "
+                f"{scheduler.name!r}: {exc}"
+            ) from None
         sim._rng.bit_generator.state = data["rng"]
 
         st = _RunState()
@@ -1752,12 +1797,16 @@ class Simulator:
             obs=obs,
         )
         # Replay the steps journaled after the checkpoint, digest-checked.
-        # One step record == one _step() call (idle fast-forwards happen
-        # *inside* a step), so the mapping is exact.  Online arrivals and
-        # withdrawals (``submit``/``cancel`` records, written by
-        # :meth:`inject_job` / :meth:`cancel_pending`) are re-applied at
-        # their exact journal position, so the interleaving with steps —
-        # and therefore every subsequent digest — is reproduced.
+        # One step record == one reference _step() call (idle
+        # fast-forwards happen *inside* a step), so the mapping is exact.
+        # Every engine replays through the reference step: the fast
+        # engine's lean kernel may cover several steps in one call, and
+        # it would be chosen before the journal is re-attached below.
+        # Online arrivals and withdrawals (``submit``/``cancel`` records,
+        # written by :meth:`inject_job` / :meth:`cancel_pending`) are
+        # re-applied at their exact journal position, so the interleaving
+        # with steps — and therefore every subsequent digest — is
+        # reproduced.
         from repro.io.serialize import job_snapshot_from_dict
 
         for rec in records[ckpt_idx + 1 :]:
@@ -1776,7 +1825,7 @@ class Simulator:
                     "restored run is already finished — journal and "
                     "checkpoint disagree"
                 )
-            sim._step()
+            Simulator._step(sim)
             if sim._state.t != target_t or sim.digest() != int(
                 rec.data["digest"]
             ):

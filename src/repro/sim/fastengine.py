@@ -1,5 +1,4 @@
-"""The fast simulation engine: incremental desires, vectorised K-RAD,
-analytic quiescent-span skipping.
+"""The fast simulation engine: one lean phase-array kernel.
 
 :class:`FastSimulator` is a drop-in subclass of
 :class:`~repro.sim.engine.Simulator` (select it with
@@ -9,71 +8,60 @@ the differential layer in :mod:`repro.sim.conformance` and
 ``tests/test_conformance_fast.py`` verify; the reference engine stays the
 executable specification.
 
-Four mechanisms carry the speedup:
+The engine has exactly one kernel of its own.  At a run's first step it
+decides whether the run is *lean-eligible*: the scheduler is exactly
+:class:`~repro.schedulers.krad.KRad`, every job is exactly a
+:class:`~repro.jobs.phase_job.PhaseJob`, and nothing consumes per-task
+ids or per-step state (no trace, journal, fault model, supervisor or
+``on_step`` hook).  Every other run executes the reference
+:meth:`Simulator._step` unchanged — for DAG jobs, other schedulers and
+traced runs the reference step is the faster one.  A lean run steps
+through three mechanisms:
 
-1. **Incremental desire tracking.**  For backends declaring
-   ``Job.incremental_desires`` (desires change only through ``execute``
-   / ``fail_tasks`` — the delta contract documented on
-   :class:`~repro.jobs.base.Job`), the engine keeps per-job desire
-   vectors across steps — an ``(n, K)`` matrix on the vectorised path —
-   and refreshes only the rows of jobs that executed, failed tasks, or
-   were replaced, instead of calling ``desire_vector()`` on every live
-   job every step.  If any job in the run opts out, the engine falls
-   back to re-polling each live job exactly once per step, the
-   reference's call pattern.
+1. **Phase arrays.**  The jobs' runtime state — current-phase remaining
+   work, parallelism, phase index, executed counter — lives in ``(n, K)``
+   arrays, and the desire matrix is derived from them; each step's
+   allotment matrix is applied with a handful of numpy operations instead
+   of one ``Job.execute`` call per served job.  Job objects are
+   re-synchronised from the arrays at completion and whenever the
+   stepping loop returns, so digests, checkpoints and paused runs see
+   exactly the reference engine's jobs.
 
-2. **Vectorised K-RAD.**  When the scheduler is exactly
-   :class:`~repro.schedulers.krad.KRad`, allocation runs through
-   :meth:`~repro.schedulers.krad.KRad.begin_batch`: numpy kernels over
-   the desire matrix (argsorts over service-sequence numbers replace
-   per-job Python list scans).  Any other scheduler transparently uses
-   its normal ``allocate`` with the incrementally maintained desire
-   dict, so ``engine="fast"`` is always safe to pass.
+2. **Vectorised K-RAD.**  Allocation runs through
+   :meth:`~repro.schedulers.krad.KRad.begin_batch`: numpy kernels over the
+   desire matrix (argsorts over service-sequence numbers replace per-job
+   Python list scans), bit-identical to :meth:`KRad.allocate`.
 
-3. **Lean phase execution.**  When every job is a plain
-   :class:`~repro.jobs.phase_job.PhaseJob` and nothing consumes per-task
-   ids (no trace, no fault model, no supervisor, no journal, no
-   ``on_step`` hook), the engine holds the jobs' runtime state —
-   current-phase remaining work, parallelism, phase index, executed
-   counter — in ``(n, K)`` arrays and applies each step's allotment
-   matrix with a handful of numpy operations instead of one
-   ``Job.execute`` call per served job.  Job objects are re-synchronised
-   from the arrays whenever observable state is needed: at completion,
-   and before any :meth:`digest` / :meth:`checkpoint`, so snapshots stay
-   bit-identical to the reference.
-
-4. **Quiescent-span skipping.**  After a step in which every category
+3. **Quiescent-span skipping.**  After a step in which every category
    was in DEQ mode (no open round-robin cycle) and the whole desire
    matrix fits under the capacities, the next allocation is provably the
    desire matrix itself, repeated verbatim — so the engine advances
    ``s`` steps analytically in O(1): ``t += s``, ``busy += s * totals``,
-   and one bulk state update per job.  ``s`` is the largest span in
-   which no desire changes, no job completes, and no arrival lands.
-   Faults, churn, tracing, journaling, supervision and ``on_step`` hooks
-   all disable the skip — those features need every unit step observed.
+   and one bulk array update.  ``s`` is the largest span in which no
+   desire changes, no job completes, no arrival lands and the stepping
+   loop's clock target is not passed.  Capacity schedules and churn
+   disable the skip — every unit step must see its own capacities.
+
+Injecting a job that is not a plain ``PhaseJob`` into a lean run hands
+the rest of the run to the reference step (``KRad.allocate`` materialises
+the batch state).
 """
 
 from __future__ import annotations
 
-import heapq
-from time import perf_counter
-
 import numpy as np
 
-from repro.errors import ScheduleError, SimulationError
+from repro.errors import ScheduleError
 from repro.jobs.base import Job
 from repro.jobs.phase_job import PhaseJob
-from repro.machine.machine import KResourceMachine
-from repro.schedulers.base import check_allotments
-from repro.schedulers.krad import KRad, KRadBatch
+from repro.schedulers.krad import KRad
 from repro.sim.engine import Simulator
-from repro.sim.trace import StepRecord
 
 __all__ = ["FastSimulator"]
 
 
 class FastSimulator(Simulator):
-    """Vectorised drop-in for :class:`~repro.sim.engine.Simulator`.
+    """Drop-in for :class:`~repro.sim.engine.Simulator` with a lean kernel.
 
     Accepts the exact constructor surface of the reference engine; the
     checkpoint/restore/recover/journal machinery is inherited unchanged
@@ -83,9 +71,11 @@ class FastSimulator(Simulator):
 
     engine_name = "fast"
 
-    #: lazily initialised by the first :meth:`_step`
-    _ft_built = False
+    #: lean eligibility: None until the first :meth:`_step` decides it;
+    #: cleared for good by a non-PhaseJob
+    _ft_lean: bool | None = None
     #: True while Job objects lag behind the lean-mode state arrays
+    #: (only ever inside the stepping loop)
     _ft_stale = False
     #: obs-only scratch: cached ones vector for matmul column sums
     #: (3x cheaper than ``sum(axis=0)`` at the hot shapes) and a
@@ -99,57 +89,12 @@ class FastSimulator(Simulator):
 
     # ------------------------------------------------------------------
     def _ft_build(self) -> None:
+        """Decide lean eligibility for the run and load the arrays."""
         st = self._state
-        self._ft_built = True
-        # Strict type check: a KRad *subclass* may override allocate, so
-        # only the exact class is routed through the batch kernels.
-        self._ft_vec = type(self._scheduler) is KRad
-        self._ft_jids: list[int] = list(st.alive)
-        self._ft_jobs: list[Job] = [st.alive[j] for j in self._ft_jids]
-        self._ft_rowidx = {j: i for i, j in enumerate(self._ft_jids)}
-        k = self._machine.num_categories
-        # Incremental desire caching is only sound for backends declaring
-        # the delta contract (Job.incremental_desires).  One opted-out job
-        # anywhere in the run makes the engine re-poll every live job's
-        # desire_vector() once per step — exactly the reference's call
-        # pattern, so even poll-counting backends behave identically.
-        self._ft_incr = (
-            all(type(j).incremental_desires for j in st.pending)
-            and all(type(j).incremental_desires for j in st.alive.values())
-            and all(type(e[2]).incremental_desires for e in st.resubmit)
-        )
-        if self._ft_vec:
-            self._ft_D = np.zeros((len(self._ft_jids), k), dtype=np.int64)
-            if self._ft_incr:
-                for i, job in enumerate(self._ft_jobs):
-                    self._ft_D[i] = job.desire_vector()
-            self._ft_batch: KRadBatch | None = self._scheduler.begin_batch(
-                self._ft_jids
-            )
-            self._ft_desires: dict[int, np.ndarray] | None = None
-        else:
-            self._ft_D = None
-            self._ft_batch = None
-            # non-incremental: the dict is rebuilt at every step's
-            # allocation point, so build installs only a placeholder
-            self._ft_desires = (
-                {
-                    jid: job.desire_vector()
-                    for jid, job in zip(self._ft_jids, self._ft_jobs)
-                }
-                if self._ft_incr
-                else {}
-            )
-        self._ft_dirty = False
-        # Steady-span skipping needs every job to predict its desire
-        # trajectory; a single opted-out backend disables it for the run.
-        self._ft_steady = all(
-            type(j).steady_steps is not Job.steady_steps for j in st.pending
-        )
-        # Lean phase execution: plain PhaseJobs only (a subclass may
-        # override execute) and no consumer of per-task ids.
+        # Strict type checks: a KRad or PhaseJob *subclass* may override
+        # allocate or execute, so only the exact classes run lean.
         self._ft_lean = (
-            self._ft_vec
+            type(self._scheduler) is KRad
             and self._fault_model is None
             and self._supervisor is None
             and self._on_step is None
@@ -159,16 +104,21 @@ class FastSimulator(Simulator):
             and all(type(j) is PhaseJob for j in st.alive.values())
             and all(type(e[2]) is PhaseJob for e in st.resubmit)
         )
-        if self._ft_lean:
-            n = len(self._ft_jids)
-            self._ft_R = np.zeros((n, k), dtype=np.int64)
-            self._ft_P = np.zeros((n, k), dtype=np.int64)
-            self._ft_PI = np.zeros(n, dtype=np.int64)
-            self._ft_LPI = np.zeros(n, dtype=np.int64)
-            self._ft_EC = np.zeros(n, dtype=np.int64)
-            self._ft_NP = np.zeros(n, dtype=np.int64)
-            for i, job in enumerate(self._ft_jobs):
-                self._ft_read_row(i, job)
+        if not self._ft_lean:
+            return
+        self._ft_jids: list[int] = list(st.alive)
+        self._ft_jobs: list[Job] = [st.alive[j] for j in self._ft_jids]
+        n = len(self._ft_jids)
+        k = self._machine.num_categories
+        self._ft_D = np.zeros((n, k), dtype=np.int64)
+        self._ft_R = np.zeros((n, k), dtype=np.int64)
+        self._ft_P = np.zeros((n, k), dtype=np.int64)
+        self._ft_PI = np.zeros(n, dtype=np.int64)
+        self._ft_LPI = np.zeros(n, dtype=np.int64)
+        self._ft_EC = np.zeros(n, dtype=np.int64)
+        for i, job in enumerate(self._ft_jobs):
+            self._ft_read_row(i, job)
+        self._ft_batch = self._scheduler.begin_batch(self._ft_jids)
 
     # ------------------------------------------------------------------
     def _ft_read_row(self, i: int, job: Job) -> None:
@@ -180,17 +130,17 @@ class FastSimulator(Simulator):
         self._ft_R[i] = rs["remaining"]
         self._ft_EC[i] = int(rs["executed_counter"])
         phases = job.phases
-        self._ft_NP[i] = len(phases)
         if pi < len(phases):
             self._ft_P[i] = phases[pi].parallelism
+        # PhaseJob.desire_vector: min(parallelism, remaining)
+        np.minimum(self._ft_P[i], self._ft_R[i], out=self._ft_D[i])
 
     # ------------------------------------------------------------------
     def _ft_flush(self) -> None:
         """Write the lean-mode arrays back into the Job objects.
 
-        Called before any state observation (digest, checkpoint, pause)
-        so the jobs are indistinguishable from a reference run's.  Rows
-        of already-completed jobs re-write identical state; harmless.
+        Rows of already-completed jobs re-write identical state;
+        harmless.
         """
         if not self._ft_stale:
             return
@@ -207,58 +157,29 @@ class FastSimulator(Simulator):
         self._ft_stale = False
 
     # ------------------------------------------------------------------
-    def digest(self) -> int:
-        self._ft_flush()
-        return super().digest()
-
-    def checkpoint(self) -> dict:
-        self._ft_flush()
-        return super().checkpoint()
-
-    def run_until(self, t_stop: int):
-        result = super().run_until(t_stop)
-        self._ft_flush()
-        return result
-
-    def advance_until(self, t_stop: int) -> bool:
-        quiescent = super().advance_until(t_stop)
-        self._ft_flush()
-        return quiescent
+    def _step_until(self, t_stop: float) -> None:
+        # Lean steps only run inside this loop, and nothing inside it
+        # reads job state, so writing the arrays back on the way out
+        # keeps every observation — digest, checkpoint, backlog, a paused
+        # run's jobs — identical to the reference engine's.
+        try:
+            super()._step_until(t_stop)
+        finally:
+            self._ft_flush()
 
     def inject_job(self, job, *, release_time=None, meta=None):
         release = super().inject_job(
             job, release_time=release_time, meta=meta
         )
-        if self._ft_built:
-            # The fast paths were proven sound over the job population
-            # seen at build time; an online arrival may violate their
-            # preconditions, so each flag downgrades monotonically —
-            # never re-enables — keeping every already-taken shortcut
-            # valid and every future step on a conservative path.
-            cls = type(job)
-            if not cls.incremental_desires:
-                self._ft_incr = False
-            if cls.steady_steps is Job.steady_steps:
-                self._ft_steady = False
-            if self._ft_lean and cls is not PhaseJob:
-                # Leaving lean mode: materialise the state arrays back
-                # into the Job objects first, then execute per-job like
-                # the reference from here on.
-                self._ft_flush()
-                self._ft_lean = False
+        if type(job) is not PhaseJob:
+            # The rest of the run takes the reference step; its first
+            # KRad.allocate materialises the batch scheduler state.
+            self._ft_lean = False
         return release
-
-    def backlog_vector(self):
-        self._ft_flush()
-        return super().backlog_vector()
-
-    def backlog_span(self) -> int:
-        self._ft_flush()
-        return super().backlog_span()
 
     # ------------------------------------------------------------------
     def _ft_sync(self) -> None:
-        """Reconcile rows with the live set (arrivals/completions/kills).
+        """Reconcile rows with the live set (arrivals/completions).
 
         Runs lazily at the next allocation after membership changed —
         the same point the reference scheduler's register+prune runs —
@@ -267,108 +188,59 @@ class FastSimulator(Simulator):
         """
         st = self._state
         new_jids = list(st.alive)
-        old_idx = self._ft_rowidx
-        old_jobs = self._ft_jobs
+        old_idx = {jid: i for i, jid in enumerate(self._ft_jids)}
         surv_pos: list[int] = []
         perm: list[int] = []
         fresh_pos: list[int] = []
-        refresh_pos: list[int] = []
-        new_jobs: list[Job] = []
         for pos, jid in enumerate(new_jids):
-            job = st.alive[jid]
-            new_jobs.append(job)
             row = old_idx.get(jid)
             if row is None:
                 fresh_pos.append(pos)
             else:
                 surv_pos.append(pos)
                 perm.append(row)
-                if job is not old_jobs[row]:
-                    # Killed and resubmitted between two allocations: the
-                    # scheduler state survives (the id was never pruned),
-                    # but the Job object is a fresh copy whose desires
-                    # must be re-read.
-                    refresh_pos.append(pos)
-        k = self._machine.num_categories
-        if self._ft_vec:
-            D = np.zeros((len(new_jids), k), dtype=np.int64)
+        n = len(new_jids)
+
+        def gather(old: np.ndarray) -> np.ndarray:
+            """Surviving rows in their new positions, zeros elsewhere."""
+            new = np.zeros((n,) + old.shape[1:], dtype=np.int64)
             if surv_pos:
-                D[surv_pos] = self._ft_D[perm]
-            if self._ft_incr:
-                for pos in fresh_pos + refresh_pos:
-                    D[pos] = new_jobs[pos].desire_vector()
-            # non-incremental: rows are filled by the per-step re-poll,
-            # keeping desire_vector() at one call per live job per step
-            self._ft_D = D
-            self._ft_batch.sync(surv_pos, perm, fresh_pos, new_jids)
-        elif self._ft_incr:
-            old = self._ft_desires
-            fresh = set(fresh_pos)
-            fresh.update(refresh_pos)
-            self._ft_desires = {
-                jid: (
-                    new_jobs[pos].desire_vector()
-                    if pos in fresh
-                    else old[jid]
-                )
-                for pos, jid in enumerate(new_jids)
-            }
-        if self._ft_lean:
-            n = len(new_jids)
-            R = np.zeros((n, k), dtype=np.int64)
-            P = np.zeros((n, k), dtype=np.int64)
-            PI = np.zeros(n, dtype=np.int64)
-            LPI = np.zeros(n, dtype=np.int64)
-            EC = np.zeros(n, dtype=np.int64)
-            NP = np.zeros(n, dtype=np.int64)
-            if surv_pos:
-                R[surv_pos] = self._ft_R[perm]
-                P[surv_pos] = self._ft_P[perm]
-                PI[surv_pos] = self._ft_PI[perm]
-                LPI[surv_pos] = self._ft_LPI[perm]
-                EC[surv_pos] = self._ft_EC[perm]
-                NP[surv_pos] = self._ft_NP[perm]
-            self._ft_R, self._ft_P = R, P
-            self._ft_PI, self._ft_LPI = PI, LPI
-            self._ft_EC, self._ft_NP = EC, NP
-            for pos in fresh_pos + refresh_pos:
-                self._ft_read_row(pos, new_jobs[pos])
-            prev = self._obs_prev_alloc
-            if type(prev) is list:
-                # Realign the previous-allotment matrix to the new row
-                # order so the per-step realloc diff stays one aligned
-                # subtraction.  Fresh rows start at zero (the next diff
-                # charges their full allotment); departed rows are owed
-                # |prev - 0| and bank into the carry, paid out by the
-                # next diff — together exactly reallocation_volume's
-                # absent-job = zero-vector convention.
-                P_old = prev[2]
-                P_new = np.zeros((n, k), dtype=np.int64)
-                kept = 0
-                if surv_pos:
-                    sub = P_old[perm]
-                    P_new[surv_pos] = sub
-                    kept = int(sub.sum())
-                self._obs_realloc_carry += float(int(P_old.sum()) - kept)
-                self._obs_prev_alloc = ["matrix", new_jids, P_new]
+                new[surv_pos] = old[perm]
+            return new
+
+        self._ft_D, self._ft_R, self._ft_P = (
+            gather(self._ft_D),
+            gather(self._ft_R),
+            gather(self._ft_P),
+        )
+        self._ft_PI, self._ft_LPI, self._ft_EC = (
+            gather(self._ft_PI),
+            gather(self._ft_LPI),
+            gather(self._ft_EC),
+        )
+        self._ft_jobs = [st.alive[jid] for jid in new_jids]
+        for pos in fresh_pos:
+            self._ft_read_row(pos, self._ft_jobs[pos])
+        self._ft_batch.sync(surv_pos, perm, fresh_pos, new_jids)
+        prev = self._obs_prev_alloc
+        if prev is not None:
+            # Realign the previous-allotment matrix to the new row order
+            # so the per-step realloc diff stays one aligned subtraction.
+            # Fresh rows start at zero (the next diff charges their full
+            # allotment); departed rows are owed |prev - 0| and bank into
+            # the carry, paid out by the next diff — together exactly
+            # reallocation_volume's absent-job = zero-vector convention.
+            P_new = gather(prev[2])
+            self._obs_realloc_carry += float(
+                int(prev[2].sum()) - int(P_new.sum())
+            )
+            self._obs_prev_alloc = ["matrix", new_jids, P_new]
         self._ft_jids = new_jids
-        self._ft_jobs = new_jobs
-        self._ft_rowidx = {jid: i for i, jid in enumerate(new_jids)}
-        self._ft_dirty = False
 
     # ------------------------------------------------------------------
-    def _ft_check(self, allotments, caps_t) -> None:
-        """Vectorised equivalent of :func:`check_allotments` (vec path)."""
-        D = self._ft_D
-        A = np.zeros_like(D)
-        idx = self._ft_rowidx
-        for jid, a in allotments.items():
-            A[idx[jid]] = a
-        self._ft_check_matrix(A, caps_t)
-
     def _ft_check_matrix(self, A: np.ndarray, caps_t) -> None:
-        D = self._ft_D
-        if (A < 0).any() or (A > D).any():
+        """Vectorised equivalent of :func:`check_allotments`."""
+        if (A < 0).any() or (A > self._ft_D).any():
             raise ScheduleError(
                 "fast engine produced an allotment outside [0, desire]"
             )
@@ -379,74 +251,36 @@ class FastSimulator(Simulator):
             )
 
     # ------------------------------------------------------------------
-    # observability helpers (matrix-shaped fast paths)
+    # observability helpers (matrix-shaped)
     # ------------------------------------------------------------------
     def _obs_realloc_matrix(self, A: np.ndarray) -> float:
         """Matrix-shaped counterpart of ``_obs_realloc_dict``.
 
         ``_ft_sync`` realigns the stored matrix to every membership
-        change and banks departed rows in ``_obs_realloc_carry``, so in
-        lean mode the diff is always one aligned subtraction plus the
-        carry; the id-aligned and per-job dict comparisons below only
-        remain for handoffs from non-lean paths.  The value always
-        matches :func:`repro.sim.metrics.reallocation_volume`.
+        change and banks departed rows in ``_obs_realloc_carry``, so the
+        diff is always one aligned subtraction plus the carry.  The value
+        always matches :func:`repro.sim.metrics.reallocation_volume`.
         """
         prev = self._obs_prev_alloc
-        jids = self._ft_jids
-        if type(prev) is list and prev[1] is jids:
-            # hot path: row order unchanged since the last diff — swap
-            # the snapshot in place and take one aligned subtraction.
-            # A is freshly allocated by allocate_matrix and never
-            # written after allocation, so keeping it without a copy
-            # is safe.
-            P = prev[2]
-            prev[2] = A
-            buf = self._obs_diffbuf
-            if buf is None or buf.shape != A.shape:
-                buf = self._obs_diffbuf = np.empty_like(A)
-            np.subtract(A, P, out=buf)
-            np.abs(buf, out=buf)
-            carry = self._obs_realloc_carry
-            if carry:
-                self._obs_realloc_carry = 0.0
-                return float(buf.sum()) + carry
-            return float(buf.sum())
-        self._obs_prev_alloc = ["matrix", jids, A]
         if prev is None:
+            # first allocation of the run contributes nothing
+            self._obs_prev_alloc = ["matrix", self._ft_jids, A]
             return 0.0
+        # Swap the snapshot in place: A is freshly allocated by
+        # allocate_matrix and never written after allocation, so keeping
+        # it without a copy is safe.
+        P = prev[2]
+        prev[2] = A
+        buf = self._obs_diffbuf
+        if buf is None or buf.shape != A.shape:
+            buf = self._obs_diffbuf = np.empty_like(A)
+        np.subtract(A, P, out=buf)
+        np.abs(buf, out=buf)
         carry = self._obs_realloc_carry
         if carry:
             self._obs_realloc_carry = 0.0
-        if isinstance(prev, list):
-            # membership changed without a sync realign (handoff from a
-            # non-lean matrix path): align common rows by id; rows
-            # present on only one side contribute their full
-            # (non-negative) sum, matching reallocation_volume's
-            # absent-job = zero-vector convention
-            jp = np.asarray(prev[1], dtype=np.int64)
-            jc = np.asarray(jids, dtype=np.int64)
-            P = prev[2]
-            _, ip, ic = np.intersect1d(
-                jp, jc, assume_unique=True, return_indices=True
-            )
-            moved = np.abs(A[ic] - P[ip]).sum()
-            only_cur = A.sum() - A[ic].sum()
-            only_prev = P.sum() - P[ip].sum()
-            return float(moved + only_cur + only_prev) + carry
-        cur = {int(j): A[i] for i, j in enumerate(jids)}
-        total = 0
-        for jid, a in cur.items():
-            p = prev.get(jid)
-            if p is None:
-                total += int(a.sum())
-            else:
-                total += int(
-                    np.abs(a - np.asarray(p, dtype=np.int64)).sum()
-                )
-        for jid, p in prev.items():
-            if jid not in cur:
-                total += int(np.asarray(p, dtype=np.int64).sum())
-        return float(total) + carry
+            return float(buf.sum()) + carry
+        return float(buf.sum())
 
     def _obs_span(self, t: int, s: int, totals: np.ndarray) -> None:
         """Credit an analytically skipped quiescent span of ``s`` steps."""
@@ -466,427 +300,138 @@ class FastSimulator(Simulator):
             )
 
     # ------------------------------------------------------------------
-    def _step(self) -> None:  # noqa: C901 - mirrors the reference loop
-        """One time step — a phase-for-phase mirror of the reference."""
-        machine = self._machine
-        scheduler = self._scheduler
-        st = self._state
-        if not self._ft_built:
+    def _step(self) -> None:
+        """One time step: the lean kernel, or the reference step."""
+        if self._ft_lean is None:
             self._ft_build()
+        if not self._ft_lean:
+            super()._step()
+            return
+        st = self._state
         obs = self._obs
         prof = obs.profiler if obs is not None else None
-        if obs is not None:
-            self._obs_w0 = perf_counter()
-        if prof is not None:
-            prof.step_begin()
-
-        st.t += 1
-        t = st.t
-        if t > self._max_steps:
-            raise SimulationError(
-                f"no completion after {self._max_steps} steps; "
-                f"{len(st.alive)} jobs alive — scheduler "
-                f"{scheduler.name!r} is not making progress"
-            )
-        # Fast-forward idle intervals: nobody alive, arrivals later.
-        if not st.alive:
-            next_release = self._next_release()
-            if next_release is not None and next_release >= t:
-                skip_to = next_release + 1
-                st.idle_steps += skip_to - t
-                st.t = t = skip_to
-
-        arriving: list[Job] = []
-        while (
-            st.next_pending < len(st.pending)
-            and st.pending[st.next_pending].release_time < t
-        ):
-            arriving.append(st.pending[st.next_pending])
-            st.next_pending += 1
-        while st.resubmit and st.resubmit[0][0] < t:
-            arriving.append(heapq.heappop(st.resubmit)[2])
-        arriving.sort(key=lambda j: (j.release_time, j.job_id))
-        arrivals: list[int] = []
-        for job in arriving:
-            st.alive[job.job_id] = job
-            arrivals.append(job.job_id)
-        if prof is not None:
-            prof.lap("arrivals")
-
-        step_machine = machine
-        caps_t = machine.capacities
-        if self._capacity_schedule is not None:
-            caps_t = tuple(int(c) for c in self._capacity_schedule(t))
-            if len(caps_t) != machine.num_categories or any(
-                not 0 <= c <= nominal
-                for c, nominal in zip(caps_t, machine.capacities)
-            ):
-                raise SimulationError(
-                    f"capacity schedule at t={t} returned {caps_t}; "
-                    f"need {machine.num_categories} values in "
-                    f"[0, nominal {machine.capacities}]"
-                )
-            if caps_t != machine.capacities:
-                step_machine = KResourceMachine(
-                    caps_t, names=machine.names, allow_zero=True
-                )
-            scheduler.rebind(step_machine)
-        elif self._churn is not None:
-            caps_t = self._churn.capacities(t)
-            if caps_t != machine.capacities:
-                step_machine = KResourceMachine(
-                    caps_t, names=machine.names, allow_zero=True
-                )
-            scheduler.rebind(step_machine)
-        if caps_t != st.last_caps:
-            scheduler.notify_capacity_change(st.last_caps, caps_t)
-            st.last_caps = caps_t
-        if prof is not None:
-            prof.lap("capacity")
+        t, arrivals, caps_t, _ = self._begin_step()
 
         # Membership reconciliation happens exactly where the reference
-        # scheduler runs register+prune: at allocation time.
-        if arrivals or self._ft_dirty:
+        # scheduler runs register+prune: at allocation time.  A lean live
+        # set only grows by arrivals and only shrinks by completions.
+        if arrivals or len(st.alive) != len(self._ft_jids):
             self._ft_sync()
 
-        if self._ft_lean:
-            # ----------------------------------------------------------
-            # Lean path: allotment matrix in, array state update out.
-            # No per-task ids exist, so nothing per-job runs in Python
-            # except the rare phase-barrier / completion events.
-            # ----------------------------------------------------------
-            D = self._ft_D
-            A = self._ft_batch.allocate_matrix(D, caps_t)
-            if self._validate:
-                self._ft_check_matrix(A, caps_t)
-            if prof is not None:
-                prof.lap("allotment")
-            # Pre-execution desire column sums — D is mutated in place
-            # below for served rows, so capture the totals now.
-            if obs is not None:
-                ones = self._obs_ones
-                if ones is None or ones.shape[0] != D.shape[0]:
-                    ones = self._obs_ones = np.ones(
-                        D.shape[0], dtype=np.int64
+        # Allotment matrix in, array state update out.  No per-task ids
+        # exist, so nothing per-job runs in Python except the rare
+        # phase-barrier / completion events.
+        D = self._ft_D
+        A = self._ft_batch.allocate_matrix(D, caps_t)
+        if self._validate:
+            self._ft_check_matrix(A, caps_t)
+        if prof is not None:
+            prof.lap("allotment")
+        # Pre-execution desire column sums — D is mutated in place
+        # below for served rows, so capture the totals now.
+        if obs is not None:
+            ones = self._obs_ones
+            if ones is None or ones.shape[0] != D.shape[0]:
+                ones = self._obs_ones = np.ones(D.shape[0], dtype=np.int64)
+            obs_desired = ones @ D
+        row_tot = A.sum(axis=1)
+        served = np.flatnonzero(row_tot)
+        progress = int(row_tot.sum())
+        completions: list[int] = []
+        a_cols = None
+        if served.size:
+            self._ft_stale = True
+            a_cols = A.sum(axis=0)
+            st.busy += a_cols
+            R = self._ft_R
+            self._ft_LPI[served] = self._ft_PI[served]
+            self._ft_EC[served] += row_tot[served]
+            R[served] -= A[served]
+            done = served[~R[served].any(axis=1)]
+            for r in done.tolist():
+                pi = int(self._ft_PI[r]) + 1
+                self._ft_PI[r] = pi
+                job = self._ft_jobs[r]
+                if pi < len(job.phases):
+                    phase = job.phases[pi]
+                    R[r] = phase.work
+                    self._ft_P[r] = phase.parallelism
+                else:
+                    # completion: flush this row so the Job object is
+                    # exactly what the reference engine would leave
+                    jid = self._ft_jids[r]
+                    job.restore_runtime_state(
+                        {
+                            "phase_idx": pi,
+                            "last_phase_idx": int(self._ft_LPI[r]),
+                            "remaining": R[r].tolist(),
+                            "executed_counter": int(self._ft_EC[r]),
+                            "completion_time": t,
+                        }
                     )
-                obs_desired = ones @ D
-            else:
-                obs_desired = None
-            row_tot = A.sum(axis=1)
-            served = np.flatnonzero(row_tot)
-            progress = int(row_tot.sum())
-            completions: list[int] = []
-            a_cols = None
-            if served.size:
-                self._ft_stale = True
-                a_cols = A.sum(axis=0)
-                st.busy += a_cols
-                R = self._ft_R
-                self._ft_LPI[served] = self._ft_PI[served]
-                self._ft_EC[served] += row_tot[served]
-                R[served] -= A[served]
-                done = served[~R[served].any(axis=1)]
-                for r in done.tolist():
-                    pi = int(self._ft_PI[r]) + 1
-                    self._ft_PI[r] = pi
-                    job = self._ft_jobs[r]
-                    if pi < int(self._ft_NP[r]):
-                        phase = job.phases[pi]
-                        R[r] = phase.work
-                        self._ft_P[r] = phase.parallelism
-                    else:
-                        # completion: flush this row so the Job object is
-                        # exactly what the reference engine would leave
-                        jid = self._ft_jids[r]
-                        job.restore_runtime_state(
-                            {
-                                "phase_idx": pi,
-                                "last_phase_idx": int(self._ft_LPI[r]),
-                                "remaining": R[r].tolist(),
-                                "executed_counter": int(self._ft_EC[r]),
-                                "completion_time": t,
-                            }
-                        )
-                        st.completion[jid] = t
-                        completions.append(jid)
-                        del st.alive[jid]
-                D[served] = np.minimum(self._ft_P[served], R[served])
-            if prof is not None:
-                prof.lap("execution")
-        else:
-            if not self._ft_incr:
-                # Opted-out backend somewhere in the run: re-poll every
-                # live job once, at the same point the reference polls.
-                if self._ft_vec:
-                    for i, job in enumerate(self._ft_jobs):
-                        self._ft_D[i] = job.desire_vector()
-                else:
-                    self._ft_desires = {
-                        jid: job.desire_vector()
-                        for jid, job in zip(self._ft_jids, self._ft_jobs)
-                    }
-            # desires (incrementally maintained); the dict form is only
-            # materialised when a consumer needs it
-            if self._ft_vec:
-                D = self._ft_D
-                if st.trace is not None or self._supervisor is not None:
-                    desires = {
-                        jid: D[i].copy()
-                        for i, jid in enumerate(self._ft_jids)
-                    }
-                else:
-                    desires = None
-                allotments = self._ft_batch.allocate(D, caps_t)
-                if self._validate:
-                    self._ft_check(allotments, caps_t)
-                # Pre-execution column sums; the execution loop below
-                # refreshes served rows of D in place.
-                obs_desired = D.sum(axis=0) if obs is not None else None
-            else:
-                desires = self._ft_desires
-                allotments = scheduler.allocate(
-                    t,
-                    desires,
-                    jobs=st.alive if scheduler.clairvoyant else None,
-                )
-                if self._validate:
-                    check_allotments(step_machine, desires, allotments)
-                obs_desired = None
-            if prof is not None:
-                prof.lap("allotment")
+                    st.completion[jid] = t
+                    completions.append(jid)
+                    del st.alive[jid]
+            D[served] = np.minimum(self._ft_P[served], R[served])
+        if prof is not None:
+            prof.lap("execution")
 
-            executed: dict[int, list[list[int]]] = {}
-            progress = 0
-            rng = self._rng
-            policy = self._policy
-            idx = self._ft_rowidx
-            for jid, alloc in allotments.items():
-                alloc = np.asarray(alloc, dtype=np.int64)
-                if not alloc.any():
-                    continue
-                job = st.alive[jid]
-                executed[jid] = job.execute(alloc, policy, rng)
-                st.busy += alloc
-                progress += int(alloc.sum())
-                # the delta update: only executing jobs re-report desires
-                if self._ft_vec and self._ft_incr:
-                    self._ft_D[idx[jid]] = job.desire_vector()
-            post_exec: dict[int, np.ndarray] | None = None
-            if not self._ft_vec and self._ft_incr and executed:
-                # The dict passed to allocate (and recorded in the trace)
-                # keeps its pre-execution values; refreshed entries are
-                # installed after the step record is written.
-                post_exec = {
-                    jid: st.alive[jid].desire_vector() for jid in executed
-                }
-            if prof is not None:
-                prof.lap("execution")
-
-            failed, killed = self._inject_faults(t, executed)
-            if self._ft_incr:
-                for jid in failed:
-                    # fail_tasks re-enqueues work, changing the desire
-                    job = st.alive.get(jid)
-                    if job is None:
-                        continue  # failed and then killed in the same step
-                    if self._ft_vec:
-                        self._ft_D[idx[jid]] = job.desire_vector()
-                    else:
-                        post_exec[jid] = job.desire_vector()
-            if killed:
-                self._ft_dirty = True
-            if prof is not None:
-                prof.lap("faults")
-
-            if self._supervisor is not None:
-                quarantined_before = len(st.quarantined)
-                self._supervise(t, caps_t, desires, allotments, executed)
-                if len(st.quarantined) != quarantined_before:
-                    self._ft_dirty = True
-            if prof is not None:
-                prof.lap("supervise")
-
-        stalled = False
-        if progress == 0:
-            # evaluated lazily, like the reference: zero-progress steps
-            # are rare, so the activity scan stays off the hot path
-            if self._ft_vec:
-                active = bool(self._ft_jids) and bool(self._ft_D.any())
-            else:
-                active = bool(desires) and any(
-                    d.any() for d in desires.values()
-                )
-        else:
-            active = False
-        if progress == 0 and active:
-            if not self._faulty:
-                raise SimulationError(
-                    f"step {t}: scheduler {scheduler.name!r} executed "
-                    f"nothing while {len(st.alive)} jobs are active — not "
-                    "work-conserving"
-                )
-            stalled = True
-            st.stall_run += 1
-            st.stall_steps += 1
-            st.longest_stall = max(st.longest_stall, st.stall_run)
-            if st.stall_run > self._max_stall_steps:
-                raise SimulationError(
-                    f"step {t}: no progress for {st.stall_run} consecutive "
-                    f"steps with {len(st.alive)} jobs alive — the machine "
-                    "never recovered (max_stall_steps "
-                    f"{self._max_stall_steps})"
-                )
-        elif progress:
-            st.stall_run = 0
-
-        if self._on_step is not None:
-            self._on_step(t, st.alive)
-
-        if not self._ft_lean:
-            completions = []
-            if executed:
-                # A live job only completes by executing (see the
-                # reference engine's completion scan), in live order.
-                for jid in list(st.alive):
-                    if jid in executed and st.alive[jid].is_complete:
-                        st.alive[jid].completion_time = t
-                        st.completion[jid] = t
-                        completions.append(jid)
-                        del st.alive[jid]
+        stalled = self._account_stall(
+            t, progress, progress == 0 and bool(D.any())
+        )
         if completions:
             st.makespan = t
-            self._ft_dirty = True
 
         if obs is not None:
-            if self._ft_lean:
-                realloc = self._obs_realloc_matrix(A)
-                if obs.bus.active:
-                    obs.bus.emit(
-                        t,
-                        "alloc",
-                        allotments={
-                            int(jid): A[i].tolist()
-                            for i, jid in enumerate(self._ft_jids)
-                        },
-                    )
-                self._obs_common(
+            realloc = self._obs_realloc_matrix(A)
+            if obs.bus.active:
+                obs.bus.emit(
                     t,
-                    obs_desired,
-                    a_cols if a_cols is not None else np.zeros_like(
-                        obs_desired
-                    ),
-                    realloc,
-                    progress,
-                    len(arrivals),
-                    len(completions),
-                    stalled,
-                )
-            else:
-                self._obs_step(
-                    t,
-                    desires,
-                    allotments,
-                    progress,
-                    len(arrivals),
-                    len(completions),
-                    stalled,
-                    desired_tot=obs_desired,
-                )
-
-        if st.trace is not None:
-            st.trace.append(
-                StepRecord(
-                    t=t,
-                    desires=desires,
+                    "alloc",
                     allotments={
-                        jid: np.asarray(a, dtype=np.int64)
-                        for jid, a in allotments.items()
+                        int(jid): A[i].tolist()
+                        for i, jid in enumerate(self._ft_jids)
                     },
-                    executed=executed,
-                    arrivals=tuple(arrivals),
-                    completions=tuple(completions),
-                    failed=failed,
-                    killed=tuple(killed),
                 )
+            self._obs_common(
+                t,
+                obs_desired,
+                a_cols if a_cols is not None else np.zeros_like(obs_desired),
+                realloc,
+                progress,
+                len(arrivals),
+                len(completions),
+                stalled,
             )
-
-        if not self._ft_lean and post_exec is not None:
-            if st.trace is not None:
-                # the recorded step keeps the pre-execution dict intact
-                self._ft_desires = dict(self._ft_desires)
-            self._ft_desires.update(post_exec)
-
-        if self._journal is not None:
-            self._journal_put("step", {"t": t, "digest": self.digest()})
-            if t % self._journal.checkpoint_every == 0 and self._unfinished():
-                self._journal_put("checkpoint", self.checkpoint())
         if prof is not None:
             prof.lap("bookkeeping")
 
-        # --------------------------------------------------------------
         # Quiescent-span skip: if this step was fully satisfied with
         # every category in DEQ mode, and no event can land before the
         # desires change, the next s steps are this step verbatim.
-        # --------------------------------------------------------------
-        if self._ft_lean:
-            if (
-                progress > 0
-                and not arrivals
-                and not completions
-                and not self._ft_dirty
-                and not self._faulty
-                and self._ft_batch.quiescent()
-            ):
-                D = self._ft_D
-                totals = D.sum(axis=0)
-                if (totals <= np.asarray(caps_t, dtype=np.int64)).all():
-                    mask = D > 0
-                    # every live PhaseJob has an active category, so the
-                    # entry-wise min equals min over jobs of steady_steps
-                    s = int((self._ft_R[mask] // D[mask]).min()) - 1
-                    next_release = self._next_release()
-                    if next_release is not None:
-                        s = min(s, next_release - t)
-                    s = min(s, self._max_steps - t)
-                    if s >= 1:
-                        st.t += s
-                        st.busy += s * totals
-                        self._ft_stale = True
-                        self._ft_LPI[:] = self._ft_PI
-                        self._ft_EC += s * D.sum(axis=1)
-                        self._ft_R -= s * D
-                        if obs is not None:
-                            self._obs_span(t, s, totals)
-        elif (
-            self._ft_vec
-            and self._ft_incr
-            and self._ft_steady
-            and progress > 0
+        if (
+            progress > 0
             and not arrivals
             and not completions
-            and not failed
-            and not killed
-            and not self._ft_dirty
             and not self._faulty
-            and st.trace is None
-            and self._journal is None
-            and self._supervisor is None
-            and self._on_step is None
-            and self._ft_jids
             and self._ft_batch.quiescent()
         ):
-            D = self._ft_D
             totals = D.sum(axis=0)
             if (totals <= np.asarray(caps_t, dtype=np.int64)).all():
-                s = min(job.steady_steps() for job in self._ft_jobs)
+                mask = D > 0
+                # every live PhaseJob has an active category, so the
+                # entry-wise min is the span in which no desire changes
+                s = int((self._ft_R[mask] // D[mask]).min()) - 1
                 next_release = self._next_release()
                 if next_release is not None:
                     s = min(s, next_release - t)
-                s = min(s, self._max_steps - t)
+                s = int(min(s, self._max_steps - t, self._t_stop - t))
                 if s >= 1:
                     st.t += s
                     st.busy += s * totals
-                    for job in self._ft_jobs:
-                        job.advance_steady(s)
+                    self._ft_stale = True
+                    self._ft_LPI[:] = self._ft_PI
+                    self._ft_EC += s * D.sum(axis=1)
+                    self._ft_R -= s * D
                     if obs is not None:
                         self._obs_span(t, s, totals)

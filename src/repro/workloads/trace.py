@@ -69,6 +69,17 @@ def _canonical(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _int_field(rec: dict, key: str, i: int) -> int:
+    """Integer field ``key`` of record ``i`` (-1 when absent)."""
+    try:
+        return int(rec.get(key, -1))
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"record {i}: field {key!r} must be an integer, got "
+            f"{rec[key]!r}"
+        ) from None
+
+
 @dataclass
 class WorkloadTrace:
     """One parsed workload trace: header plus ordered records."""
@@ -87,7 +98,13 @@ class WorkloadTrace:
     # construction / validation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        self.capacities = tuple(int(c) for c in self.capacities)
+        try:
+            self.capacities = tuple(int(c) for c in self.capacities)
+        except (TypeError, ValueError):
+            raise SerializationError(
+                f"workload trace capacities must be a list of integers, "
+                f"got {self.capacities!r}"
+            ) from None
         if not self.capacities or any(c < 1 for c in self.capacities):
             raise SerializationError(
                 f"workload trace needs positive capacities, got "
@@ -103,20 +120,25 @@ class WorkloadTrace:
                 )
         last_t = 0
         for i, rec in enumerate(self.records):
+            if not isinstance(rec, dict):
+                raise SerializationError(
+                    f"record {i}: expected a JSON object, got "
+                    f"{type(rec).__name__}"
+                )
             kind = rec.get("kind")
             if kind not in _RECORD_KINDS:
                 raise SerializationError(
                     f"record {i}: unknown kind {kind!r} "
                     f"(this build reads {_RECORD_KINDS})"
                 )
-            t = int(rec.get("t", -1))
+            t = _int_field(rec, "t", i)
             if t < last_t:
                 raise SerializationError(
                     f"record {i}: clock goes backwards ({t} < {last_t})"
                 )
             last_t = t
             if kind == "submit":
-                if int(rec.get("release", -1)) < t:
+                if _int_field(rec, "release", i) < t:
                     raise SerializationError(
                         f"record {i}: release {rec.get('release')} "
                         f"precedes its submission clock {t}"
@@ -263,9 +285,13 @@ class WorkloadTrace:
                 raise SerializationError(
                     f"workload trace record {i} is not JSON: {exc}"
                 ) from None
+        if "capacities" not in header:
+            raise SerializationError(
+                "workload trace header has no 'capacities' field"
+            )
         names = header.get("names")
         return cls(
-            capacities=tuple(header["capacities"]),
+            capacities=header["capacities"],
             names=tuple(names) if names is not None else None,
             scheduler=str(header.get("scheduler", "k-rad")),
             seed=int(header.get("seed", 0)),

@@ -1,6 +1,8 @@
 """Public API surface tests: everything exported actually resolves."""
 
 import importlib
+import os
+import re
 
 import pytest
 
@@ -16,6 +18,22 @@ class TestTopLevelApi:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+    def test_version_has_one_source(self):
+        """pyproject reads the version from repro._version, and the
+        latest CHANGELOG entry names that same version."""
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.join(os.path.dirname(__file__), "..")
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            doc = tomllib.load(fh)
+        assert "version" not in doc["project"]
+        assert "version" in doc["project"]["dynamic"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro._version.__version__"
+        }
+        with open(os.path.join(root, "CHANGELOG.md"), encoding="utf-8") as fh:
+            latest = re.search(r"^## (\S+)", fh.read(), re.MULTILINE)
+        assert latest.group(1) == repro.__version__
 
     @pytest.mark.parametrize(
         "module",

@@ -284,6 +284,29 @@ class TestGuards:
         with pytest.raises(SerializationError, match="stall_run"):
             Simulator.restore(snap, scheduler=KRad())
 
+    @pytest.mark.parametrize(
+        "corrupt,field",
+        [
+            (lambda snap: snap.update(scheduler=["k-rad"]), "scheduler"),
+            (lambda snap: snap["engine"].update(t=None), "'t'"),
+            (lambda snap: snap.update(jobs=5), "jobs"),
+            (
+                lambda snap: snap["scheduler"].update(state={"states": 1}),
+                "scheduler state",
+            ),
+        ],
+        ids=["scheduler-list", "null-counter", "jobs-int", "bad-state"],
+    )
+    def test_malformed_section_rejected(self, rng, corrupt, field):
+        machine = KResourceMachine((2,))
+        js = workloads.random_dag_jobset(rng, 1, 2, size_hint=6)
+        sim = Simulator(machine, KRad(), js.fresh_copy())
+        sim.run_until(1)
+        snap = sim.checkpoint()
+        corrupt(snap)
+        with pytest.raises(SerializationError, match=field):
+            Simulator.restore(snap, scheduler=KRad())
+
     def test_rerun_guard_still_fires(self, rng):
         machine = KResourceMachine((2,))
         js = workloads.random_dag_jobset(rng, 1, 2, size_hint=6)

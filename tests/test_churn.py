@@ -118,6 +118,28 @@ class TestChurnSchedule:
         with pytest.raises(SerializationError):
             ChurnSchedule.from_dict(good)
 
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"nominal": None}, "nominal"),
+            ({"events": None}, "events"),
+            ({"nominal": ["x"]}, "nominal"),
+            ({"events": [{"category": 0, "delta": 1}]}, "step"),
+            ({"events": [{"step": "x", "category": 0, "delta": 1}]}, "step"),
+            ({"events": [[1, 0, 1]]}, "mapping"),
+        ],
+        ids=[
+            "no-nominal", "no-events", "str-nominal", "event-no-step",
+            "event-str-step", "event-array",
+        ],
+    )
+    def test_from_dict_names_the_malformed_field(self, patch, field):
+        doc = ChurnSchedule((4,), []).to_dict()
+        doc.update(patch)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(SerializationError, match=field):
+            ChurnSchedule.from_dict(doc)
+
 
 class TestEngineUnderChurn:
     def test_shrink_slows_but_completes(self, rng, machine2):

@@ -29,7 +29,7 @@ from repro.sim import (
 from repro.sim.faults import periodic_outage
 
 
-def _phase_build(seed, k, caps, n_jobs=12, releases=False):
+def _phase_build(seed, k, caps, n_jobs=12, releases=False, traced=True):
     def build():
         rng = np.random.default_rng(seed)
         machine = KResourceMachine(caps)
@@ -44,7 +44,7 @@ def _phase_build(seed, k, caps, n_jobs=12, releases=False):
             scheduler=KRad(machine),
             jobset=js,
             seed=seed,
-            record_trace=True,
+            record_trace=traced,
         )
 
     return build
@@ -296,6 +296,35 @@ def test_sliced_injection_conforms(seed):
     assert kinds.count("inject") == 4 and kinds.count("cancel") == 1
     jkinds = {entry[0] for entry in report.journal_digests["reference"]}
     assert {"step", "submit", "cancel"} <= jkinds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lean_sliced_injection_conforms(seed):
+    """Untraced and unjournaled, the fast engine runs its lean kernel
+    until the first DAG job is injected and the reference step after it;
+    the per-action digests pin the switch down."""
+    from repro.sim import assert_sliced_conformant
+
+    assert_sliced_conformant(
+        _phase_build(seed, 3, (6, 3, 2), n_jobs=8, traced=False),
+        _online_script(seed, 3),
+    )
+
+
+def test_dag_injection_leaves_the_lean_kernel():
+    """The kernel switch the untraced sliced case crosses: lean until a
+    non-PhaseJob arrives, the reference step from then on."""
+    kwargs = _phase_build(0, 3, (6, 3, 2), n_jobs=8, traced=False)()
+    sim = engine_class("fast")(
+        kwargs.pop("machine"), kwargs.pop("scheduler"), kwargs.pop("jobset"),
+        **kwargs,
+    )
+    sim.advance_until(4)
+    assert sim._ft_lean
+    sim.inject_job(_late_jobs(50, 3, 1)[0], release_time=5)
+    assert not sim._ft_lean
+    sim.run()
+    assert not sim._ft_lean
 
 
 def test_sliced_matches_batch_with_effective_releases():

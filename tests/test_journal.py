@@ -4,11 +4,13 @@ digest-verified recovery."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import JournalError
 from repro.io.trace_io import trace_to_dict
 from repro.jobs import workloads
+from repro.machine import KResourceMachine
 from repro.machine.churn import ChurnEvent, ChurnSchedule
 from repro.schedulers import KRad
 from repro.sim import (
@@ -17,6 +19,7 @@ from repro.sim import (
     Simulator,
     Supervisor,
     default_monitors,
+    engine_class,
     read_journal,
     state_digest,
 )
@@ -250,6 +253,32 @@ class TestJournaledRuns:
         records, _, clean = read_journal(path)
         assert clean
         assert records[-1].type == "end"
+
+    def test_fast_engine_recovers_lean_eligible_run(self, tmp_path):
+        """A K-RAD phase-job run is lean-eligible once the journal is
+        detached, yet recovery must replay one unit step per journal
+        record and the resumed run must journal every step."""
+        machine = KResourceMachine((6, 4))
+        js = workloads.light_phase_jobset(
+            np.random.default_rng(0), machine, 4
+        )
+        ref = Simulator(machine, KRad(), js.fresh_copy(), seed=0).run()
+        path = str(tmp_path / "run.journal")
+        fast = engine_class("fast")
+        sim = fast(
+            machine,
+            KRad(),
+            js.fresh_copy(),
+            seed=0,
+            journal=Journal(path, checkpoint_every=100, fsync=False),
+        )
+        assert sim.run_until(40) is None
+        sim._journal.close()
+        _assert_identical(ref, fast.recover(path, fsync=False).run())
+        records, _, clean = read_journal(path)
+        assert clean
+        steps = [rec.data["t"] for rec in records if rec.type == "step"]
+        assert steps == list(range(1, ref.makespan + 1))
 
     def test_recover_chain_survives_second_crash(
         self, rng, machine2, tmp_path

@@ -1,9 +1,11 @@
 """Property-based differential testing of the fast engine.
 
 hypothesis generates machines (K in {1, 2, 4}), phase and DAG job sets,
-with and without release times, and asserts both engines produce equal
-makespans, mean response times and final trace content digests.  When a
-property fails, hypothesis shrinks the scenario and the comparison
+with and without release times, and runs each through
+:func:`~repro.sim.conformance.run_conformance`: both engines must agree on
+result fingerprints, traces and metrics, and — untraced, where the fast
+engine runs its lean kernel — on final digests and mid-run checkpoints.
+When a property fails, hypothesis shrinks the scenario and the comparison
 helper dumps the *minimal* failing jobset (plus machine and seed) as a
 JSON repro file under ``tests/failures/`` — re-runnable without
 hypothesis in the loop.
@@ -21,7 +23,7 @@ from repro.io.serialize import jobset_to_dict, machine_to_dict
 from repro.jobs import workloads
 from repro.machine import KResourceMachine
 from repro.schedulers import KRad
-from repro.sim import simulate
+from repro.sim import run_conformance, simulate
 
 _SETTINGS = settings(
     max_examples=30,
@@ -88,36 +90,23 @@ def _dump_repro(machine, jobset, seed, label):
 
 
 def _compare_engines(machine, jobset, seed, label):
-    results = {}
-    for engine in ("reference", "fast"):
-        results[engine] = simulate(
-            machine,
-            KRad(machine),
-            jobset.fresh_copy(),
+    """Traced and untraced differential run (the untraced one is where the
+    fast engine takes its lean kernel)."""
+    report = run_conformance(
+        lambda: dict(
+            machine=machine,
+            scheduler=KRad(machine),
+            jobset=jobset.fresh_copy(),
             seed=seed,
             record_trace=True,
-            engine=engine,
         )
-    ref, fast = results["reference"], results["fast"]
-    checks = {
-        "makespan": (ref.makespan, fast.makespan),
-        "completion_times": (ref.completion_times, fast.completion_times),
-        "mean_rt": (
-            sorted(ref.response_times().values()),
-            sorted(fast.response_times().values()),
-        ),
-        "trace_digest": (
-            ref.trace.content_digest(),
-            fast.trace.content_digest(),
-        ),
-    }
-    for name, (a, b) in checks.items():
-        if a != b:
-            path = _dump_repro(machine, jobset, seed, label)
-            raise AssertionError(
-                f"{name} diverged: reference={a!r} fast={b!r}; "
-                f"minimal repro written to {path}"
-            )
+    )
+    if not report.ok:
+        path = _dump_repro(machine, jobset, seed, label)
+        raise AssertionError(
+            "engines diverged:\n" + "\n".join(report.mismatches)
+            + f"\nminimal repro written to {path}"
+        )
 
 
 @_SETTINGS

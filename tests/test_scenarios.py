@@ -117,6 +117,48 @@ class TestTraceFormat:
         with pytest.raises(SerializationError, match="precedes"):
             WorkloadTrace(capacities=tr.capacities, records=bad)
 
+    @pytest.mark.parametrize(
+        "header,record,field",
+        [
+            ({}, None, "capacities"),
+            ({"capacities": ["a", 2]}, None, "capacities"),
+            ({"capacities": [4], "churn": {"format": "churn-schedule",
+              "version": 1, "events": []}}, None, "nominal"),
+            ({"capacities": [4], "churn": {"format": "churn-schedule",
+              "version": 1, "nominal": [4]}}, None, "events"),
+            ({"capacities": [4], "churn": {"format": "churn-schedule",
+              "version": 1, "nominal": [4],
+              "events": [{"category": 0, "delta": 1}]}}, None, "step"),
+            ({"capacities": [4]}, [1, 2], "JSON object"),
+            ({"capacities": [4]}, {"kind": "cancel", "t": "x",
+                                   "job_id": 1}, "'t'"),
+        ],
+        ids=[
+            "no-capacities", "str-capacities", "churn-no-nominal",
+            "churn-no-events", "churn-event-no-step", "array-record",
+            "str-t",
+        ],
+    )
+    def test_malformed_documents_raise_typed_errors(
+        self, header, record, field
+    ):
+        import json
+
+        lines = [json.dumps({"format": "workload-trace", "version": 2,
+                             **header})]
+        if record is not None:
+            lines.append(json.dumps(record))
+        with pytest.raises(SerializationError, match=field):
+            WorkloadTrace.from_lines(lines)
+
+    def test_replay_cli_rejects_malformed_trace(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "t.ndjson"
+        path.write_text('{"format": "workload-trace", "version": 2}\n')
+        assert main(["replay", str(path)]) == 2
+        assert "capacities" in capsys.readouterr().err
+
     def test_to_jobset_excludes_cancelled(self):
         tr = build_trace("hotspot", seed=0, num_jobs=6)
         tr.records.append({"kind": "cancel", "t": 0, "job_id": 3})
