@@ -3,9 +3,10 @@
 
 The paper's model is purely *functional* heterogeneity — every processor of
 a category runs at unit speed.  Its concluding remarks pose performance +
-functional heterogeneity as the open challenge; `repro.perf` explores it:
-each category gets an integer speed, and an allotted processor chains
-through up to that many dependent tasks per step.
+functional heterogeneity as the open challenge; a machine built with
+`KResourceMachine(caps, speeds=...)` explores it: each category gets an
+integer speed, and an allotted processor chains through up to that many
+dependent tasks per step.
 
 This script takes one workload and sweeps speed profiles for the same
 physical processor counts, showing how K-RAD — which never sees the speeds
@@ -22,7 +23,9 @@ from repro import KRad
 from repro.analysis import format_table
 from repro.dag import dag_stats
 from repro.jobs import workloads
-from repro.perf import SpeedMachine, simulate_speeds, speed_makespan_lower_bound
+from repro.machine import KResourceMachine
+from repro.perf import speed_makespan_lower_bound
+from repro.sim import simulate
 
 
 def main() -> None:
@@ -46,8 +49,8 @@ def main() -> None:
     rows = []
     base_makespan = None
     for label, speeds in profiles.items():
-        machine = SpeedMachine(caps, speeds, names=names)
-        result = simulate_speeds(machine, KRad(), jobset)
+        machine = KResourceMachine(caps, names=names, speeds=speeds)
+        result = simulate(machine, KRad(), jobset)
         lb = speed_makespan_lower_bound(jobset, machine)
         if base_makespan is None:
             base_makespan = result.makespan

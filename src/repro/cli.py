@@ -264,8 +264,12 @@ def _parse_capacities(spec: str) -> tuple[int, ...]:
     return tuple(int(c) for c in spec.split(",") if c.strip())
 
 
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared fault-injection flag set (faults / serve / recover)."""
+def _add_fault_arguments(
+    parser: argparse.ArgumentParser, *, capacity: bool = True
+) -> None:
+    """The shared fault-injection flag set (faults / serve / recover).
+    ``capacity=False`` leaves out ``--availability``/``--outage``: they
+    become churn, which the journal records for ``recover``."""
     parser.add_argument(
         "--task-fail-rate",
         type=float,
@@ -281,6 +285,16 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-step per-job kill probability in [0, 1)",
     )
     parser.add_argument(
+        "--max-attempts",
+        type=int,
+        default=None,
+        help="execution attempts per killed job (with backoff; default 3); "
+        "1 = no retry.  Only meaningful with --kill-rate",
+    )
+    if not capacity:
+        parser.set_defaults(availability=None, outage=None)
+        return
+    parser.add_argument(
         "--availability",
         type=float,
         default=None,
@@ -295,13 +309,6 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
             "periodic outage on category 0, e.g. 10:4 (drop to 1) or "
             "10:4:0 (full blackout)"
         ),
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="execution attempts per killed job (with backoff; default 3); "
-        "1 = no retry.  Only meaningful with --kill-rate",
     )
 
 
@@ -327,8 +334,13 @@ def _resolve_scheduler(name: str):
     return Scheduler.from_name(name)  # ValueError lists the known names
 
 
-def _validate_fault_flags(args) -> None:
-    """Cross-flag guards for the shared fault set (cheap; no imports)."""
+def _fault_spec_from_args(args):
+    """The shared fault flags as a plain :func:`fault_spec` document
+    (``None`` when fault-free) — the form a workload-trace header
+    stores, so a recorded run can rebuild identical hooks on replay.
+    Raises :class:`ValueError` naming the flags on a conflict."""
+    from repro.sim.faults import fault_spec
+
     if args.outage is not None and args.availability is not None:
         raise ValueError(
             "--outage and --availability are mutually exclusive; "
@@ -339,15 +351,6 @@ def _validate_fault_flags(args) -> None:
             "--max-attempts only governs killed-job retries; "
             "it needs --kill-rate > 0"
         )
-
-
-def _fault_spec_from_args(args):
-    """The shared fault flags as a plain :func:`fault_spec` document
-    (``None`` when fault-free) — the form a workload-trace header
-    stores, so a recorded run can rebuild identical hooks on replay."""
-    from repro.sim.faults import fault_spec
-
-    _validate_fault_flags(args)
     return fault_spec(
         task_fail_rate=args.task_fail_rate,
         kill_rate=args.kill_rate,
@@ -361,11 +364,12 @@ def _fault_spec_from_args(args):
 def _build_fault_objects(capacities: tuple[int, ...], args):
     """Turn the shared fault flags into engine hook objects.
 
-    Returns ``(capacity_schedule, fault_model, retry_policy)``.  The
-    shipped models are pure functions of ``(seed, step)``, so building
-    them again from the same flags yields the identical objects a
-    crashed run used — which is exactly what ``recover`` (and trace
-    replay) need.  Raises :class:`ValueError` on conflicting flags.
+    Returns ``(churn, fault_model, retry_policy)``, the capacity fault as
+    a churn schedule.  The shipped models are pure functions of ``(seed,
+    step)``, so building them again from the same flags yields the
+    identical objects a crashed run used — which is exactly what
+    ``recover`` (and trace replay) need.  Raises :class:`ValueError` on
+    conflicting flags.
     """
     from repro.errors import SimulationError
     from repro.sim.faults import fault_objects_from_spec
@@ -430,7 +434,7 @@ def _faults_main(argv: list[str]) -> int:
         capacities = _parse_capacities(args.capacities)
         machine = KResourceMachine(capacities)
         scheduler = _resolve_scheduler(args.scheduler)
-        capacity_schedule, fault_model, retry_policy = _build_fault_objects(
+        churn, fault_model, retry_policy = _build_fault_objects(
             capacities, args
         )
         obs = _install_obs(args)
@@ -443,7 +447,7 @@ def _faults_main(argv: list[str]) -> int:
             machine,
             scheduler,
             js,
-            capacity_schedule=capacity_schedule,
+            churn=churn,
             fault_model=fault_model,
             retry_policy=retry_policy,
             max_stall_steps=args.max_stall_steps,
@@ -679,10 +683,11 @@ def _recover_main(argv: list[str]) -> int:
             "(truncating any torn tail), replay it with digest "
             "verification, and run it to completion.  Works on batch "
             "journals ('krad supervise --journal') and service journals "
-            "('krad serve --journal') alike; a crashed fault-injected "
-            "run must pass back the same fault flags (and --seed) it "
-            "ran with, since those hooks are callables the journal "
-            "cannot capture"
+            "('krad serve --journal') alike.  Churn and capacity faults "
+            "come back from the journal; a crashed run with task faults "
+            "or kills must pass back the same flags (and --seed) it ran "
+            "with, since those hooks are callables the journal cannot "
+            "capture"
         ),
     )
     parser.add_argument(
@@ -696,7 +701,7 @@ def _recover_main(argv: list[str]) -> int:
         default=0,
         help="fault RNG seed the crashed run used (with fault flags)",
     )
-    _add_fault_arguments(parser)
+    _add_fault_arguments(parser, capacity=False)
     _add_engine_argument(parser)
     _add_obs_arguments(parser)
     args = parser.parse_args(argv)
@@ -705,33 +710,11 @@ def _recover_main(argv: list[str]) -> int:
 
     obs = None
     try:
-        _validate_fault_flags(args)
-        capacity_schedule = fault_model = retry_policy = None
-        if (
-            args.task_fail_rate > 0
-            or args.kill_rate > 0
-            or args.availability is not None
-            or args.outage is not None
-            or args.max_attempts is not None
-        ):
-            # Capacity-fault models need the machine shape; read it from
-            # the journal header instead of asking the operator again.
-            from repro.io.serialize import machine_from_dict
-            from repro.sim.journal import read_journal
-
-            records, _bytes, _clean = read_journal(args.journal)
-            if not records or records[0].type != "meta":
-                raise ValueError(
-                    f"{args.journal!r} has no readable journal header"
-                )
-            machine = machine_from_dict(records[0].data["machine"])
-            capacity_schedule, fault_model, retry_policy = (
-                _build_fault_objects(machine.capacities, args)
-            )
+        # No capacity flags here, so the machine shape is never needed.
+        _churn, fault_model, retry_policy = _build_fault_objects((), args)
         obs = _install_obs(args)
         sim = engine_class(args.engine).recover(
             args.journal,
-            capacity_schedule=capacity_schedule,
             fault_model=fault_model,
             retry_policy=retry_policy,
         )
@@ -1113,7 +1096,7 @@ def _serve_main(argv: list[str]) -> int:
                 "exclusive capacity-fault modes; express degradation as "
                 "negative churn events"
             )
-        capacity_schedule, fault_model, retry_policy = _build_fault_objects(
+        churn, fault_model, retry_policy = _build_fault_objects(
             capacities, args
         )
         if args.trace is not None and args.shards > 1:
@@ -1122,7 +1105,6 @@ def _serve_main(argv: list[str]) -> int:
                 "sharded service runs several engines (per-shard trace "
                 "recording is future work)"
             )
-        churn = None
         if args.churn:
             from repro.machine.churn import ChurnSchedule
 
@@ -1152,19 +1134,16 @@ def _serve_main(argv: list[str]) -> int:
             trace_path=args.trace,
             extra=(
                 {
+                    # a capacity fault is recorded once, in "faults"
                     "faults": _fault_spec_from_args(args),
-                    "churn": churn.to_dict() if churn is not None else None,
+                    "churn": churn.to_dict() if args.churn else None,
                 }
                 if args.trace is not None
                 else {}
             ),
         )
         if args.shards > 1:
-            if (
-                fault_model is not None
-                or capacity_schedule is not None
-                or churn is not None
-            ):
+            if fault_model is not None or churn is not None:
                 raise ValueError(
                     "--shards partitions a clean pool; per-engine fault "
                     "flags (--outage/--availability/--churn/task faults) "
@@ -1189,7 +1168,6 @@ def _serve_main(argv: list[str]) -> int:
                 obs=obs,
                 fault_model=fault_model,
                 retry_policy=retry_policy,
-                capacity_schedule=capacity_schedule,
                 churn=None if resuming else churn,
             )
         server = ServiceServer(

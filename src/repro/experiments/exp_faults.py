@@ -98,14 +98,14 @@ def run(
             capacities, category=0, period=10, duration=3, degraded=0
         )
         degradation = RandomDegradation(
-            capacities, availability=0.7, seed=seed + rep, floor=0
+            capacities, availability=0.7, seed=seed + rep
         )
         kill_steps = {int(t): [t % n_jobs] for t in (2, 5, 9)}
         scenarios = {
             "no faults": {},
-            "periodic outage": {"capacity_schedule": outage},
-            "full outage": {"capacity_schedule": blackout},
-            "random degradation": {"capacity_schedule": degradation},
+            "periodic outage": {"churn": outage},
+            "full outage": {"churn": blackout},
+            "random degradation": {"churn": degradation},
             "task failures": {
                 "fault_model": TaskFailures(0.1, seed=seed + rep)
             },

@@ -7,7 +7,7 @@ lower-bound certificate (work/throughput and weighted span — see
 
 Checks:
 
-* at unit speeds the SpeedSimulator reproduces the base engine exactly;
+* at unit speeds a machine with speeds reproduces the plain machine exactly;
 * speeding a category up never hurts the makespan;
 * K-RAD's measured ratio stays below ``K + 1 - 1/Pmax`` on every cell even
   with speed heterogeneity the scheduler cannot see — empirical evidence
@@ -24,8 +24,6 @@ from repro.analysis.tables import format_table
 from repro.jobs import workloads
 from repro.machine.machine import KResourceMachine
 from repro.perf.bounds import speed_makespan_lower_bound
-from repro.perf.engine import simulate_speeds
-from repro.perf.speed_machine import SpeedMachine
 from repro.schedulers.krad import KRad
 from repro.sim.engine import simulate
 from repro.theory.bounds import theorem3_ratio
@@ -48,11 +46,11 @@ def run(*, seed: int = 0, repeats: int = 3, n_jobs: tuple[int, ...] = (6, 12)) -
 
     def measure(params, rng):
         caps, speeds = _SPEED_PROFILES[params["profile"]]
-        machine = SpeedMachine(caps, speeds)
+        machine = KResourceMachine(caps, speeds=speeds)
         js = workloads.random_dag_jobset(
             rng, machine.num_categories, params["n_jobs"], size_hint=15
         )
-        result = simulate_speeds(machine, KRad(), js)
+        result = simulate(machine, KRad(), js)
         lb = speed_makespan_lower_bound(js, machine)
         limit = theorem3_ratio(machine.num_categories, max(caps))
         row = {
@@ -83,17 +81,17 @@ def run(*, seed: int = 0, repeats: int = 3, n_jobs: tuple[int, ...] = (6, 12)) -
     from repro.schedulers.clairvoyant import ClairvoyantCriticalPath
 
     aware_caps, aware_speeds = (4, 2), (1, 4)
-    aware_machine = SpeedMachine(aware_caps, aware_speeds)
+    aware_machine = KResourceMachine(aware_caps, speeds=aware_speeds)
     wins = ties = losses = 0
     ratios = []
     for trial in range(10):
         trial_rng = np.random.default_rng(seed * 97 + trial)
         js = workloads.random_dag_jobset(trial_rng, 2, 8, size_hint=20)
-        aware = simulate_speeds(
+        aware = simulate(
             aware_machine, SpeedAwareClairvoyant(aware_speeds), js,
             policy=CP_FIRST,
         )
-        blind = simulate_speeds(
+        blind = simulate(
             aware_machine, ClairvoyantCriticalPath(), js, policy=CP_FIRST
         )
         ratios.append(aware.makespan / blind.makespan)

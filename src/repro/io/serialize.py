@@ -60,17 +60,24 @@ def _check_header(data: dict, expected: str) -> None:
 # machine
 # ----------------------------------------------------------------------
 def machine_to_dict(machine: KResourceMachine) -> dict[str, Any]:
-    return {
+    """``speeds`` is written only for a machine with a category faster
+    than 1, so unit-speed documents keep their original bytes."""
+    doc = {
         "format": "machine",
         "version": _VERSION,
         "capacities": list(machine.capacities),
         "names": list(machine.names),
     }
+    if machine.max_speed > 1:
+        doc["speeds"] = list(machine.speeds)
+    return doc
 
 
 def machine_from_dict(data: dict[str, Any]) -> KResourceMachine:
     _check_header(data, "machine")
-    return KResourceMachine(data["capacities"], names=data["names"])
+    return KResourceMachine(
+        data["capacities"], names=data["names"], speeds=data.get("speeds")
+    )
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,12 @@ A machine hosts ``K`` categories of processors with ``P_alpha`` processors of
 each category ``alpha``.  A task of category ``alpha`` can only run on an
 ``alpha``-processor.  Categories may carry human-readable names ("cpu",
 "vector", "io", ...) purely for reporting; all algorithms work on indices.
+
+Per-category integer *speeds* extend the model with performance
+heterogeneity (the paper's concluding open challenge): one allotted
+``alpha``-processor performs up to ``s_alpha`` units of ``alpha``-work per
+step and may chain through freshly enabled dependent tasks within it.
+Speed 1 everywhere (the default) is the paper's model exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ class KResourceMachine:
         4 vector units and 2 I/O processors.
     names:
         Optional category names (defaults to generic names).
+    speeds:
+        Optional integer speed ``s_alpha >= 1`` per category (default all
+        1).  The scheduler stays speed-oblivious; the engine runs
+        ``max_speed`` micro-rounds per step (see
+        :class:`repro.sim.engine.Simulator`).
     allow_zero:
         Permit categories with **0** processors.  Nominal machines always
         have ``P_alpha >= 1`` (the paper's model); zero-capacity views
@@ -51,13 +62,14 @@ class KResourceMachine:
     (3, 16)
     """
 
-    __slots__ = ("_caps", "_names")
+    __slots__ = ("_caps", "_names", "_speeds")
 
     def __init__(
         self,
         capacities: Sequence[int],
         names: Sequence[str] | None = None,
         *,
+        speeds: Sequence[int] | None = None,
         allow_zero: bool = False,
     ) -> None:
         caps = tuple(int(p) for p in capacities)
@@ -81,8 +93,19 @@ class KResourceMachine:
                 )
             if len(set(names)) != len(names):
                 raise CategoryError(f"category names must be unique, got {names}")
+        if speeds is None:
+            speeds = (1,) * len(caps)
+        else:
+            speeds = tuple(int(s) for s in speeds)
+            if len(speeds) != len(caps):
+                raise CategoryError(
+                    f"{len(speeds)} speeds for {len(caps)} categories"
+                )
+            if any(s < 1 for s in speeds):
+                raise CategoryError(f"speeds must be >= 1, got {speeds}")
         self._caps = caps
         self._names = names
+        self._speeds = speeds
 
     # ------------------------------------------------------------------
     @property
@@ -107,6 +130,30 @@ class KResourceMachine:
     @property
     def total_processors(self) -> int:
         return sum(self._caps)
+
+    @property
+    def speeds(self) -> tuple[int, ...]:
+        """``(s_1, ..., s_K)``: work units one processor runs per step."""
+        return self._speeds
+
+    @property
+    def max_speed(self) -> int:
+        """Micro-rounds per step; 1 is the paper's unit-time model."""
+        return max(self._speeds)
+
+    def speed(self, category: int) -> int:
+        """``s_alpha`` for one category."""
+        if not 0 <= category < len(self._speeds):
+            raise CategoryError(
+                f"category {category} out of range for K={len(self._speeds)}"
+            )
+        return self._speeds[category]
+
+    def throughput_vector(self) -> np.ndarray:
+        """``P_alpha * s_alpha``: work units per step per category."""
+        return self.capacity_vector() * np.asarray(
+            self._speeds, dtype=np.int64
+        )
 
     def capacity(self, category: int) -> int:
         """``P_alpha`` for one category."""
@@ -137,13 +184,20 @@ class KResourceMachine:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KResourceMachine):
             return NotImplemented
-        return self._caps == other._caps and self._names == other._names
+        return (
+            self._caps == other._caps
+            and self._names == other._names
+            and self._speeds == other._speeds
+        )
 
     def __hash__(self) -> int:
-        return hash((self._caps, self._names))
+        return hash((self._caps, self._names, self._speeds))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{n}={p}" for _, n, p in self)
+        parts = ", ".join(
+            f"{n}={p}" + (f"@{s}x" if s > 1 else "")
+            for (_, n, p), s in zip(self, self._speeds)
+        )
         return f"KResourceMachine({parts})"
 
 

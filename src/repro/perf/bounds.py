@@ -11,10 +11,11 @@ Both Section-4 bounds generalise:
   critical path under that round structure.
 
 Note the span term is deliberately **not** ``sum 1/s_cat(v)`` over paths:
-:class:`~repro.perf.engine.SpeedSimulator` lets a task enabled in an early
-micro-round feed a successor in a *later* micro-round of the same macro
-step, so a mixed-category chain (e.g. categories ``0, 1`` at speeds
-``(1, 2)``) finishes in one step even though ``1/1 + 1/2 > 1``.  The
+the engine's micro-rounds (:class:`~repro.sim.engine.Simulator` on a
+machine with speeds) let a task enabled in an early micro-round feed a
+successor in a *later* micro-round of the same macro step, so a
+mixed-category chain (e.g. categories ``0, 1`` at speeds ``(1, 2)``)
+finishes in one step even though ``1/1 + 1/2 > 1``.  The
 slot-walk DP below is exact for a dedicated chain and therefore a valid
 lower bound; the naive sum is not.
 
@@ -32,7 +33,7 @@ from repro.errors import ReproError
 from repro.jobs.base import Job
 from repro.jobs.dag_job import DagJob
 from repro.jobs.jobset import JobSet
-from repro.perf.speed_machine import SpeedMachine
+from repro.machine.machine import KResourceMachine
 
 __all__ = ["weighted_span", "job_weighted_span", "speed_makespan_lower_bound"]
 
@@ -83,8 +84,10 @@ def job_weighted_span(job: Job, speeds: Sequence[int]) -> float:
     return job.span() / float(max(speeds))
 
 
-def speed_makespan_lower_bound(jobset: JobSet, machine: SpeedMachine) -> float:
-    """The generalised Section-4 certificate on a :class:`SpeedMachine`."""
+def speed_makespan_lower_bound(
+    jobset: JobSet, machine: KResourceMachine
+) -> float:
+    """The generalised Section-4 certificate on a machine with speeds."""
     if jobset.num_categories != machine.num_categories:
         raise ReproError(
             f"job set K={jobset.num_categories} != machine "

@@ -1,6 +1,6 @@
 """A speed-aware clairvoyant baseline for the performance extension.
 
-K-RAD needs no change on a :class:`SpeedMachine` — RAD is per-category, so
+K-RAD needs no change on a machine with speeds — RAD is per-category, so
 speeds never alter its decisions — but a *clairvoyant* scheduler can do
 better by prioritising jobs by their **weighted** remaining critical path
 (each task costing ``1/s_category``), the quantity that actually bounds a

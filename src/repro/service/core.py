@@ -119,7 +119,7 @@ class SchedulingService:
         ``None`` falls back to the process default, else to a fresh
         metrics-only :class:`Observability` so ``/metrics`` always has
         something to serve.
-    fault_model, retry_policy, capacity_schedule, churn:
+    fault_model, retry_policy, churn:
         Passed to the engine verbatim — the serving loop runs under
         fault injection exactly like a batch run does.
     """
@@ -131,7 +131,6 @@ class SchedulingService:
         obs: Observability | None = None,
         fault_model=None,
         retry_policy=None,
-        capacity_schedule=None,
         churn=None,
         max_stall_steps: int = 1000,
         _sim=None,
@@ -171,7 +170,6 @@ class SchedulingService:
                 journal=journal,
                 fault_model=fault_model,
                 retry_policy=retry_policy,
-                capacity_schedule=capacity_schedule,
                 churn=churn,
                 max_stall_steps=max_stall_steps,
                 obs=obs,
@@ -659,8 +657,6 @@ class SchedulingService:
         obs: Observability | None = None,
         fault_model=None,
         retry_policy=None,
-        capacity_schedule=None,
-        max_stall_steps: int = 1000,
     ) -> "SchedulingService":
         """Rebuild a crashed service from its write-ahead journal.
 
@@ -672,10 +668,12 @@ class SchedulingService:
         counters, metrics histograms) restarts from the replayed tail;
         rejections were never acknowledged as durable.
 
-        Fault models / retry policies / capacity schedules are
-        callables the journal cannot capture — pass the identical ones
-        the crashed service ran with (same flags ⇒ same models, since
-        the shipped fault models are pure functions of (seed, step)).
+        The churn schedule (capacity faults included) and the stall
+        bound come back from the journal.  Fault models and retry
+        policies are callables the journal cannot capture — pass the
+        identical ones the crashed service ran with (same flags ⇒ same
+        models, since the shipped fault models are pure functions of
+        (seed, step)).
         """
         if config.journal_path is None:
             raise ServiceError(
@@ -686,7 +684,6 @@ class SchedulingService:
             config.journal_path,
             fault_model=fault_model,
             retry_policy=retry_policy,
-            capacity_schedule=capacity_schedule,
             fsync=config.fsync,
             obs=obs,
         )
@@ -730,7 +727,6 @@ class SchedulingService:
         obs: Observability | None = None,
         fault_model=None,
         retry_policy=None,
-        capacity_schedule=None,
         churn=None,
         max_stall_steps: int = 1000,
     ) -> "SchedulingService":
@@ -753,15 +749,12 @@ class SchedulingService:
                 obs=obs,
                 fault_model=fault_model,
                 retry_policy=retry_policy,
-                capacity_schedule=capacity_schedule,
-                max_stall_steps=max_stall_steps,
             )
         return cls(
             config,
             obs=obs,
             fault_model=fault_model,
             retry_policy=retry_policy,
-            capacity_schedule=capacity_schedule,
             churn=churn,
             max_stall_steps=max_stall_steps,
         )

@@ -16,11 +16,22 @@ exactly:
 Idle intervals (no job available, later releases pending) are fast-forwarded
 in O(1), so sparse arrival patterns cost nothing.
 
+On a machine with per-category speeds (``KResourceMachine(...,
+speeds=...)``) execution runs ``max_speed`` micro-rounds per step: round
+``r`` runs the categories with speed ``> r``, so a fast processor chains
+through dependent work within its step.  At unit speed the execution
+phase is exactly the paper's.
+
 Fault tolerance (all optional, all deterministic):
 
-* ``capacity_schedule`` degrades per-step capacities, down to **0** (full
-  category outage); resulting zero-progress steps are counted as *stalls*
-  and bounded by ``max_stall_steps`` instead of crashing the run;
+* ``churn`` is the one capacity timeline: elastic
+  :class:`~repro.machine.churn.ChurnEvent` changes, recurring outage
+  windows and random availability (the capacity faults of
+  :mod:`repro.sim.faults`), down to **0** (full category outage);
+  resulting zero-progress steps are counted as *stalls* and bounded by
+  ``max_stall_steps`` instead of crashing the run.  Capacity may also
+  *grow* past the nominal count; the scheduler is notified of every
+  boundary so RAD's DEQ/RR state machine migrates instead of resetting;
 * ``fault_model`` fails individual executed tasks (work wasted, task
   re-enqueued) and kills whole jobs;
 * ``retry_policy`` resubmits killed jobs as fresh copies after exponential
@@ -36,17 +47,13 @@ Supervised execution (all optional, all deterministic):
   ``strict`` mode raises :class:`~repro.errors.InvariantViolation`,
   ``resilient`` mode quarantines the offending job and records a
   structured :class:`~repro.sim.supervisor.Incident`;
-* ``churn`` applies first-class :class:`~repro.machine.churn.ChurnEvent`
-  capacity changes — unlike ``capacity_schedule`` it may *grow* a
-  category past its nominal count; the scheduler is notified of every
-  boundary so RAD's DEQ/RR state machine migrates instead of resetting;
 * ``journal`` write-ahead-logs every step (CRC-framed, fsync'd) with
   periodic full checkpoints; :meth:`Simulator.recover` rebuilds a crashed
   run from the journal, truncates torn tails, replays to the last valid
   record with digest verification, and resumes bit-for-bit.
 
 The engine is deterministic given (job set, scheduler, policy, seed,
-capacity schedule, churn schedule, fault model, retry policy, supervisor).
+churn schedule, fault model, retry policy, supervisor).
 """
 
 from __future__ import annotations
@@ -89,7 +96,9 @@ ENGINE_NAMES = ("reference", "fast")
 
 _DEFAULT_ENGINE = "reference"
 
-_CHECKPOINT_VERSION = 2
+#: version 3 records capacity faults only as churn; a version-2 document
+#: of an outage run would otherwise resume silently without its outage
+_CHECKPOINT_VERSION = 3
 
 #: top-level / engine keys a checkpoint document must carry, with the type
 #: each holds; validated up front so a malformed document fails with a
@@ -124,7 +133,6 @@ _ENGINE_KEYS = {
     "max_stall_steps": Integral,
     "validate": object,
     "has_fault_model": object,
-    "has_capacity_schedule": object,
     "has_churn": object,
     "has_supervisor": object,
     "last_caps": list,
@@ -250,11 +258,13 @@ class Simulator:
         Only needed for randomised policies.
     record_trace:
         Keep the full schedule (memory ~ total work); required for validity
-        checking and Gantt rendering.
+        checking and Gantt rendering.  Not available on a machine with
+        speeds above 1: a Section-2 trace holds one task per processor
+        per step.
     max_steps:
         Safety valve; defaults to a generous bound derived from total work,
         spans and releases — exceeding it means a scheduler is not making
-        progress.  When a capacity schedule or fault model is present the
+        progress.  When a churn schedule or fault model is present the
         default is scaled up substantially (degradation and rework can
         legitimately stretch a run far past the nominal bound).
     validate:
@@ -266,13 +276,6 @@ class Simulator:
         (uncompleted, pre-removal) jobs — used by the proof certifiers in
         :mod:`repro.theory.induction` and free-form diagnostics.  The hook
         must not mutate the jobs.
-    capacity_schedule:
-        Optional failure-injection hook ``t -> capacities``: per-step
-        processor counts (each in ``[0, nominal]``, same K; 0 = the
-        category is completely dark that step).  The scheduler is re-bound
-        to the degraded view each step with its state intact; metrics and
-        validation use the nominal machine, so outages surface as idle
-        capacity and stalls.
     fault_model:
         Optional :class:`~repro.sim.faults.FaultModel` failing executed
         tasks (work wasted, re-enqueued) and/or killing whole jobs.
@@ -287,11 +290,14 @@ class Simulator:
         breach; ``resilient`` mode quarantines the offending job, logs a
         structured incident, and keeps going.
     churn:
-        Optional :class:`~repro.machine.churn.ChurnSchedule` of elastic
-        capacity changes (may exceed the nominal machine).  Mutually
-        exclusive with ``capacity_schedule``; the nominal capacities of
-        the schedule must match the machine's.  Trace recording uses the
-        peak envelope so every realized step fits.
+        Optional :class:`~repro.machine.churn.ChurnSchedule`: the per-step
+        capacities (elastic changes that may exceed the nominal machine,
+        outage windows and random availability that may reach 0).  The
+        scheduler is re-bound to each step's view with its state intact;
+        metrics use the nominal machine, so outages surface as idle
+        capacity and stalls.  The nominal capacities of the schedule must
+        match the machine's.  Trace recording uses the peak envelope so
+        every realized step fits.
     journal:
         Optional :class:`~repro.sim.journal.Journal` write-ahead log:
         run metadata + an immediate checkpoint at start, a digest record
@@ -300,7 +306,7 @@ class Simulator:
         :meth:`Simulator.recover`.
     max_stall_steps:
         Upper bound on *consecutive* zero-progress steps while jobs are
-        live (only reachable under capacity schedules / fault models);
+        live (only reachable under churn / fault models);
         exceeding it aborts the run — the safety valve for a machine that
         never recovers.
     obs:
@@ -326,7 +332,6 @@ class Simulator:
         max_steps: int | None = None,
         validate: bool = True,
         on_step=None,
-        capacity_schedule=None,
         fault_model=None,
         retry_policy=None,
         supervisor: Supervisor | None = None,
@@ -344,17 +349,18 @@ class Simulator:
             raise SimulationError(
                 f"max_stall_steps must be >= 1, got {max_stall_steps}"
             )
-        if churn is not None:
-            if capacity_schedule is not None:
-                raise SimulationError(
-                    "churn and capacity_schedule are mutually exclusive; "
-                    "express degradation as negative churn events"
-                )
-            if churn.nominal != machine.capacities:
-                raise SimulationError(
-                    f"churn schedule nominal {churn.nominal} != machine "
-                    f"capacities {machine.capacities}"
-                )
+        if churn is not None and churn.nominal != machine.capacities:
+            raise SimulationError(
+                f"churn schedule nominal {churn.nominal} != machine "
+                f"capacities {machine.capacities}"
+            )
+        #: micro-rounds per step (1 = the paper's unit-time execution)
+        self._max_speed = machine.max_speed
+        if record_trace and self._max_speed > 1:
+            raise SimulationError(
+                f"record_trace needs unit speeds, got {machine.speeds}: a "
+                "Section-2 trace holds one task per processor per step"
+            )
         self._machine = machine
         self._scheduler = scheduler
         self._jobset = jobset
@@ -363,7 +369,6 @@ class Simulator:
         self._record_trace = record_trace
         self._validate = validate
         self._on_step = on_step
-        self._capacity_schedule = capacity_schedule
         self._fault_model = fault_model
         self._retry_policy = retry_policy
         self._max_stall_steps = int(max_stall_steps)
@@ -382,11 +387,7 @@ class Simulator:
         # capacity actually changes, so identity is the cache key
         self._obs_caps_key: tuple | None = None
         self._obs_caps_total = 0
-        self._faulty = (
-            capacity_schedule is not None
-            or fault_model is not None
-            or churn is not None
-        )
+        self._faulty = fault_model is not None or churn is not None
         if max_steps is None:
             work = int(jobset.total_work_vector().sum())
             span = int(jobset.spans().sum())
@@ -848,25 +849,9 @@ class Simulator:
 
         step_machine = machine
         caps_t = machine.capacities
-        if self._capacity_schedule is not None:
-            caps_t = tuple(int(c) for c in self._capacity_schedule(t))
-            if len(caps_t) != machine.num_categories or any(
-                not 0 <= c <= nominal
-                for c, nominal in zip(caps_t, machine.capacities)
-            ):
-                raise SimulationError(
-                    f"capacity schedule at t={t} returned {caps_t}; "
-                    f"need {machine.num_categories} values in "
-                    f"[0, nominal {machine.capacities}]"
-                )
-            if caps_t != machine.capacities:
-                step_machine = KResourceMachine(
-                    caps_t, names=machine.names, allow_zero=True
-                )
-            scheduler.rebind(step_machine)
-        elif self._churn is not None:
-            # Elastic churn: unlike degradation, capacities may *exceed*
-            # the nominal machine while a transient add is active.
+        if self._churn is not None:
+            # Capacities may drop to 0 (outage) or *exceed* the nominal
+            # machine while a transient add is active.
             caps_t = self._churn.capacities(t)
             if caps_t != machine.capacities:
                 step_machine = KResourceMachine(
@@ -938,15 +923,18 @@ class Simulator:
 
         executed: dict[int, list[list[int]]] = {}
         progress = 0
-        for jid, alloc in allotments.items():
-            alloc = np.asarray(alloc, dtype=np.int64)
-            if not alloc.any():
-                continue
-            executed[jid] = st.alive[jid].execute(
-                alloc, self._policy, self._rng
-            )
-            st.busy += alloc
-            progress += int(alloc.sum())
+        if self._max_speed > 1:
+            progress = self._execute_rounds(allotments, executed)
+        else:
+            for jid, alloc in allotments.items():
+                alloc = np.asarray(alloc, dtype=np.int64)
+                if not alloc.any():
+                    continue
+                executed[jid] = st.alive[jid].execute(
+                    alloc, self._policy, self._rng
+                )
+                st.busy += alloc
+                progress += int(alloc.sum())
         if prof is not None:
             prof.lap("execution")
 
@@ -1022,6 +1010,39 @@ class Simulator:
                 self._journal_put("checkpoint", self.checkpoint())
         if prof is not None:
             prof.lap("bookkeeping")
+
+    def _execute_rounds(
+        self, allotments: dict, executed: dict[int, list[list[int]]]
+    ) -> int:
+        """Execution phase on a machine with speeds above 1.
+
+        Round ``r`` of ``max_speed`` runs the categories whose speed
+        exceeds ``r``.  Each job's round is clipped to its current desire
+        (a round may run tasks an earlier round enabled), completed jobs
+        sit out, and the executed task ids merge per job.  Returns the
+        units executed.
+        """
+        st = self._state
+        speeds = np.asarray(self._machine.speeds, dtype=np.int64)
+        progress = 0
+        for r in range(self._max_speed):
+            in_round = speeds > r
+            for jid, alloc in allotments.items():
+                job = st.alive[jid]
+                if job.is_complete:
+                    continue
+                alloc = np.minimum(
+                    np.where(in_round, alloc, 0), job.desire_vector()
+                )
+                if not alloc.any():
+                    continue
+                ids = job.execute(alloc, self._policy, self._rng)
+                merged = executed.setdefault(jid, [[] for _ in ids])
+                for alpha, tasks in enumerate(ids):
+                    merged[alpha].extend(tasks)
+                st.busy += alloc
+                progress += int(alloc.sum())
+        return progress
 
     # ------------------------------------------------------------------
     def _supervise(
@@ -1430,7 +1451,6 @@ class Simulator:
             "checkpoint_every": self._journal.checkpoint_every,
             "record_trace": self._record_trace,
             "has_fault_model": self._fault_model is not None,
-            "has_capacity_schedule": self._capacity_schedule is not None,
             "has_retry_policy": self._retry_policy is not None,
             "churn": (
                 self._churn.to_dict() if self._churn is not None else None
@@ -1495,8 +1515,6 @@ class Simulator:
                 "max_stall_steps": self._max_stall_steps,
                 "validate": self._validate,
                 "has_fault_model": self._fault_model is not None,
-                "has_capacity_schedule": self._capacity_schedule
-                is not None,
                 "has_churn": self._churn is not None,
                 "has_supervisor": self._supervisor is not None,
                 "last_caps": list(st.last_caps),
@@ -1530,7 +1548,6 @@ class Simulator:
         *,
         policy: ExecutionPolicy = FIFO,
         on_step=None,
-        capacity_schedule=None,
         fault_model=None,
         retry_policy=None,
         supervisor: Supervisor | None = None,
@@ -1542,9 +1559,9 @@ class Simulator:
 
         Callables are not serializable, so the caller re-supplies the
         scheduler instance (same class; its state is restored from the
-        snapshot), the policy and the capacity/fault/retry/supervisor/
-        churn hooks — they must match the original run for the resumed
-        result to be identical.  A malformed document (wrong format,
+        snapshot), the policy and the fault/retry/supervisor/churn hooks
+        — they must match the original run for the resumed result to be
+        identical.  A malformed document (wrong format,
         unknown version, missing or wrongly typed sections, a scheduler
         state the scheduler cannot load) fails with
         :class:`~repro.errors.SerializationError` naming the problem.
@@ -1573,11 +1590,6 @@ class Simulator:
                 "checkpointed run and restore disagree on fault_model "
                 "presence"
             )
-        if eng["has_capacity_schedule"] != (capacity_schedule is not None):
-            raise SimulationError(
-                "checkpointed run and restore disagree on "
-                "capacity_schedule presence"
-            )
         if eng["has_churn"] != (churn is not None):
             raise SimulationError(
                 "checkpointed run and restore disagree on churn presence"
@@ -1604,7 +1616,6 @@ class Simulator:
             max_steps=eng["max_steps"],
             validate=eng["validate"],
             on_step=on_step,
-            capacity_schedule=capacity_schedule,
             fault_model=fault_model,
             retry_policy=retry_policy,
             supervisor=supervisor,
@@ -1685,7 +1696,6 @@ class Simulator:
         scheduler: Scheduler | None = None,
         policy: ExecutionPolicy | None = None,
         on_step=None,
-        capacity_schedule=None,
         fault_model=None,
         retry_policy=None,
         fsync: bool = True,
@@ -1702,11 +1712,11 @@ class Simulator:
         simulator keeps appending to the same journal, so a
         crash-recover-crash-recover chain leaves one continuous file.
 
-        The scheduler, policy, supervisor and churn schedule are rebuilt
-        from journal metadata when not supplied; fault models, capacity
-        schedules and retry policies are arbitrary callables the journal
-        cannot capture, so runs using them must pass the identical
-        objects back in.
+        The scheduler, policy, supervisor and churn schedule (capacity
+        faults included) are rebuilt from journal metadata when not
+        supplied; fault models and retry policies are arbitrary callables
+        the journal cannot capture, so runs using them must pass the
+        identical objects back in.
 
         Raises :class:`~repro.errors.JournalError` on an unreadable or
         headerless journal, on a journal whose ``end`` record shows the
@@ -1755,11 +1765,6 @@ class Simulator:
                 "journaled run used a fault model; pass the identical "
                 "fault_model to recover()"
             )
-        if meta.get("has_capacity_schedule") and capacity_schedule is None:
-            raise JournalError(
-                "journaled run used a capacity schedule; pass the "
-                "identical capacity_schedule to recover()"
-            )
         if meta.get("has_retry_policy") and retry_policy is None:
             raise JournalError(
                 "journaled run used a retry policy; pass the identical "
@@ -1789,7 +1794,6 @@ class Simulator:
             scheduler,
             policy=policy,
             on_step=on_step,
-            capacity_schedule=capacity_schedule,
             fault_model=fault_model,
             retry_policy=retry_policy,
             supervisor=supervisor,
@@ -1855,7 +1859,6 @@ def simulate(
     max_steps: int | None = None,
     validate: bool = True,
     fresh: bool = True,
-    capacity_schedule=None,
     fault_model=None,
     retry_policy=None,
     supervisor: Supervisor | None = None,
@@ -1886,7 +1889,6 @@ def simulate(
         record_trace=record_trace,
         max_steps=max_steps,
         validate=validate,
-        capacity_schedule=capacity_schedule,
         fault_model=fault_model,
         retry_policy=retry_policy,
         supervisor=supervisor,

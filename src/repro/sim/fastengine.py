@@ -13,9 +13,9 @@ decides whether the run is *lean-eligible*: the scheduler is exactly
 :class:`~repro.schedulers.krad.KRad`, every job is exactly a
 :class:`~repro.jobs.phase_job.PhaseJob`, and nothing consumes per-task
 ids or per-step state (no trace, journal, fault model, supervisor or
-``on_step`` hook).  Every other run executes the reference
-:meth:`Simulator._step` unchanged — for DAG jobs, other schedulers and
-traced runs the reference step is the faster one.  A lean run steps
+``on_step`` hook) on a unit-speed machine.  Every other run executes the
+reference :meth:`Simulator._step` unchanged — for DAG jobs, other
+schedulers and traced runs the reference step is the faster one.  A lean run steps
 through three mechanisms:
 
 1. **Phase arrays.**  The jobs' runtime state — current-phase remaining
@@ -39,8 +39,8 @@ through three mechanisms:
    ``s`` steps analytically in O(1): ``t += s``, ``busy += s * totals``,
    and one bulk array update.  ``s`` is the largest span in which no
    desire changes, no job completes, no arrival lands and the stepping
-   loop's clock target is not passed.  Capacity schedules and churn
-   disable the skip — every unit step must see its own capacities.
+   loop's clock target is not passed.  Churn (capacity faults included)
+   disables the skip — every unit step must see its own capacities.
 
 Injecting a job that is not a plain ``PhaseJob`` into a lean run hands
 the rest of the run to the reference step (``KRad.allocate`` materialises
@@ -95,6 +95,7 @@ class FastSimulator(Simulator):
         # allocate or execute, so only the exact classes run lean.
         self._ft_lean = (
             type(self._scheduler) is KRad
+            and self._max_speed == 1
             and self._fault_model is None
             and self._supervisor is None
             and self._on_step is None

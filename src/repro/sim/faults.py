@@ -1,15 +1,15 @@
-"""Failure injection: capacity schedules and task/job fault models.
+"""Failure injection: capacity faults and task/job fault models.
 
 Two orthogonal failure surfaces compose with every scheduler in the
 repository:
 
-* A *capacity schedule* maps a step number to the per-category processor
-  counts actually available that step (maintenance windows, transient
-  failures, co-tenant pressure).  The engine re-binds the scheduler to the
-  degraded view each step (state intact).  Capacities may drop all the way
-  to **0** — a full-category outage; the engine absorbs the resulting
-  zero-progress steps as *stalls* (bounded by ``max_stall_steps``) instead
-  of crashing.
+* *Capacity faults* take processors away: :func:`periodic_outage` (a
+  recurring maintenance window) and :func:`RandomDegradation` (random
+  per-step availability) build :class:`~repro.machine.churn.ChurnSchedule`\\ s
+  that only remove processors, so they run, journal and recover exactly
+  like any other churn.  Capacities may drop all the way to **0** — a
+  full-category outage; the engine absorbs the resulting zero-progress
+  steps as *stalls* (bounded by ``max_stall_steps``) instead of crashing.
 * A :class:`FaultModel` acts on the work itself: it can fail individual
   unit tasks after they executed (the work is wasted and the task re-enters
   the ready frontier) and kill whole jobs (resubmitted as fresh copies by a
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import SimulationError
+from repro.machine.churn import ChurnEvent, ChurnSchedule, step_rng
 
 __all__ = [
     "periodic_outage",
@@ -41,15 +40,8 @@ __all__ = [
 ]
 
 
-def _step_rng(seed: int, t: int) -> np.random.Generator:
-    """Per-step child RNG: a pure function of (seed, t), call-order free."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(seed), int(t)))
-    )
-
-
 # ----------------------------------------------------------------------
-# capacity schedules
+# capacity faults (churn that only removes processors)
 # ----------------------------------------------------------------------
 def periodic_outage(
     nominal: Sequence[int],
@@ -58,7 +50,7 @@ def periodic_outage(
     period: int,
     duration: int,
     degraded: int = 1,
-):
+) -> ChurnSchedule:
     """Every ``period`` steps, ``category`` drops to ``degraded`` processors
     for ``duration`` steps (a recurring maintenance window).
 
@@ -66,7 +58,7 @@ def periodic_outage(
     window and the engine counts the resulting zero-progress steps as
     stalls rather than failing.
 
-    Returns a schedule callable for ``Simulator(capacity_schedule=...)``.
+    Returns a :class:`ChurnSchedule` for ``Simulator(churn=...)``.
     """
     nominal = tuple(int(c) for c in nominal)
     if not 0 <= category < len(nominal):
@@ -83,57 +75,26 @@ def periodic_outage(
             f"degraded capacity {degraded} must be in [0, "
             f"{nominal[category]}] (0 = full outage)"
         )
-
-    def schedule(t: int) -> tuple[int, ...]:
-        caps = list(nominal)
-        if (t - 1) % period < duration:
-            caps[category] = degraded
-        return tuple(caps)
-
-    return schedule
+    if duration == 0 or degraded == nominal[category]:
+        return ChurnSchedule(nominal)
+    delta = degraded - nominal[category]
+    window = ChurnEvent(1, category, delta, duration, period)
+    return ChurnSchedule(nominal, [window])
 
 
-class RandomDegradation:
+def RandomDegradation(
+    nominal: Sequence[int], *, availability: float = 0.8, seed: int = 0
+) -> ChurnSchedule:
     """Each step, each category independently keeps a binomial fraction of
     its processors with survival probability ``availability``.
 
     A category may lose **every** processor for a step (and with
     ``availability=0.0`` the whole machine goes dark); the engine's stall
-    accounting absorbs such steps.  Pass ``floor=1`` to reproduce the old
-    always-at-least-one-processor behaviour.
-
-    Deterministic given ``seed``: the step's draw comes from a per-step
-    child RNG, so the schedule is a pure function of ``t`` no matter the
-    call order.
+    accounting absorbs such steps.  Deterministic given ``seed``: the
+    step's draw comes from a per-step child RNG, so the schedule is a
+    pure function of ``t`` no matter the call order.
     """
-
-    def __init__(
-        self,
-        nominal: Sequence[int],
-        *,
-        availability: float = 0.8,
-        seed: int = 0,
-        floor: int = 0,
-    ) -> None:
-        self.nominal = tuple(int(c) for c in nominal)
-        if not 0.0 <= availability <= 1.0:
-            raise SimulationError(
-                f"availability must be in [0, 1], got {availability}"
-            )
-        if not 0 <= floor <= min(self.nominal):
-            raise SimulationError(
-                f"floor must be in [0, {min(self.nominal)}], got {floor}"
-            )
-        self.availability = float(availability)
-        self.seed = int(seed)
-        self.floor = int(floor)
-
-    def __call__(self, t: int) -> tuple[int, ...]:
-        rng = _step_rng(self.seed, t)
-        return tuple(
-            max(self.floor, int(rng.binomial(c, self.availability)))
-            for c in self.nominal
-        )
+    return ChurnSchedule(nominal, availability=availability, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +151,7 @@ class TaskFailures(FaultModel):
     def task_failures(self, t, executed):
         if self.rate == 0.0:
             return {}
-        rng = _step_rng(self.seed, t)
+        rng = step_rng(self.seed, t)
         out: dict[int, list[list[int]]] = {}
         for jid in sorted(executed):
             per_cat = executed[jid]
@@ -218,7 +179,7 @@ class JobKiller(FaultModel):
     def job_kills(self, t, alive):
         if self.rate == 0.0:
             return ()
-        rng = _step_rng(self.seed, t)
+        rng = step_rng(self.seed, t)
         return [jid for jid in sorted(alive) if rng.random() < self.rate]
 
 
@@ -330,11 +291,11 @@ def fault_spec(
 def fault_objects_from_spec(capacities: Sequence[int], spec: Mapping | None):
     """Rebuild engine fault hooks from a :func:`fault_spec` document.
 
-    Returns ``(capacity_schedule, fault_model, retry_policy)`` — the
-    triple :class:`~repro.sim.engine.Simulator` takes.  Building twice
-    from the same spec yields behaviourally identical hooks (pure in
-    ``(seed, step)``), which is what bit-identical trace replay and
-    journal recovery both rely on.
+    Returns ``(churn, fault_model, retry_policy)`` — the capacity fault
+    as a :class:`ChurnSchedule` (or ``None``) plus the hooks
+    :class:`~repro.sim.engine.Simulator` takes.  Building twice from the
+    same spec yields behaviourally identical hooks (pure in ``(seed,
+    step)``), which is what bit-identical trace replay relies on.
     """
     if spec is None:
         return None, None, None
@@ -353,27 +314,20 @@ def fault_objects_from_spec(capacities: Sequence[int], spec: Mapping | None):
             "mutually exclusive capacity-fault modes"
         )
 
-    capacity_schedule = None
+    churn = None
     if outage is not None:
         parts = [int(p) for p in str(outage).split(":")]
-        if len(parts) == 2:
-            period, duration, degraded = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            period, duration, degraded = parts
-        else:
+        if len(parts) not in (2, 3):
             raise SimulationError(
                 f"outage spec wants PERIOD:DURATION[:DEGRADED], got "
                 f"{outage!r}"
             )
-        capacity_schedule = periodic_outage(
-            capacities,
-            category=0,
-            period=period,
-            duration=duration,
-            degraded=degraded,
+        period, duration, degraded = (parts + [1])[:3]
+        churn = periodic_outage(
+            capacities, 0, period=period, duration=duration, degraded=degraded
         )
     elif availability is not None:
-        capacity_schedule = RandomDegradation(
+        churn = RandomDegradation(
             capacities, availability=float(availability), seed=seed
         )
 
@@ -394,4 +348,4 @@ def fault_objects_from_spec(capacities: Sequence[int], spec: Mapping | None):
         if fault_model is not None and attempts > 1
         else None
     )
-    return capacity_schedule, fault_model, retry_policy
+    return churn, fault_model, retry_policy

@@ -9,7 +9,8 @@ mid-write crash is *detected and truncated*, never silently parsed.
 Record stream of one run::
 
     meta        run header: scheduler name, machine, feature flags,
-                churn events and supervisor spec (both plain data)
+                churn schedule (capacity faults included) and supervisor
+                spec (both plain data)
     checkpoint  full Simulator.checkpoint() payload (at start, then every
                 ``checkpoint_every`` steps)
     step        per-step delta: {"t": ..., "digest": ...} where the digest
@@ -37,7 +38,9 @@ from repro.errors import JournalError
 
 __all__ = ["Journal", "JournalRecord", "read_journal", "state_digest"]
 
-JOURNAL_VERSION = 1
+#: version 2 records capacity faults in the ``churn`` meta field; a
+#: version-1 journal of an outage run would otherwise resume without it
+JOURNAL_VERSION = 2
 
 logger = logging.getLogger("repro.sim.journal")
 

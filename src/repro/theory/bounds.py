@@ -69,9 +69,10 @@ def time_expanded_lower_bound(
     """Earliest completion any schedule could reach on a time-varying machine.
 
     ``schedule`` is any callable ``t -> capacities`` giving the *realized*
-    per-category processor counts at step ``t`` — a degradation
-    ``capacity_schedule``, an elastic :class:`~repro.machine.churn.ChurnSchedule`
-    (capacities may exceed nominal), or any other availability profile.
+    per-category processor counts at step ``t`` — a
+    :class:`~repro.machine.churn.ChurnSchedule` (outages and random
+    availability included; capacities may exceed nominal), or any other
+    availability profile.
 
     Necessary conditions on any valid schedule of the same run: by the
     finish step ``T``, the machine has cumulatively offered at least

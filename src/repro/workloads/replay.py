@@ -1,7 +1,8 @@
 """Bit-identical replay of workload traces through either engine.
 
 ``replay(trace)`` rebuilds the machine, scheduler, fault hooks and
-churn schedule from the trace header, then drives the *online* surface
+churn schedule (a capacity fault in the header's ``faults`` *is* a churn
+schedule) from the trace header, then drives the *online* surface
 exactly as the original run did: advance the clock to each record's submission time,
 inject (or cancel) the recorded job, and finally run to completion.
 Because the engine only advances the clock while admitted work exists,
@@ -75,9 +76,17 @@ def replay(
         sched = scheduler
     else:
         sched = scheduler_by_name(scheduler or trace.scheduler)
-    capacity_schedule, fault_model, retry_policy = fault_objects_from_spec(
+    churn, fault_model, retry_policy = fault_objects_from_spec(
         trace.capacities, trace.faults
     )
+    if churn is not None and trace.churn is not None:
+        raise ReplayError(
+            "trace header sets both a capacity fault (faults.outage / "
+            "faults.availability) and a churn schedule; a run has one "
+            "capacity timeline"
+        )
+    if churn is None:
+        churn = trace.churn_schedule()
     engine_name = engine or get_default_engine()
     sim = engine_class(engine_name)(
         machine,
@@ -86,10 +95,9 @@ def replay(
         seed=trace.seed,
         record_trace=record_trace,
         validate=validate,
-        capacity_schedule=capacity_schedule,
         fault_model=fault_model,
         retry_policy=retry_policy,
-        churn=trace.churn_schedule(),
+        churn=churn,
         max_stall_steps=max_stall_steps,
     )
     for i, rec in enumerate(trace.records):

@@ -415,13 +415,26 @@ def workload_trace_from_journal(
 
     The journal is the durable record of every acknowledged submission
     (fsync'd before the ack), so this converter replays a run's workload
-    even when no ``--trace`` file was recorded.  The journal does not
-    store the run's RNG ``seed`` or its fault hooks (callables); pass
-    the same ``seed`` (and a :func:`repro.sim.faults.fault_spec`) the
-    run used, exactly as ``krad recover`` requires.
+    even when no ``--trace`` file was recorded.  The journal records the
+    run's churn schedule, capacity faults included, but not its RNG
+    ``seed`` or its task/job fault hooks (callables); pass the same
+    ``seed`` (and a :func:`repro.sim.faults.fault_spec` of those hooks)
+    the run used, exactly as ``krad recover`` requires.  A ``faults``
+    spec naming ``outage`` or ``availability`` is refused: the journal's
+    churn already carries it.
     """
     from repro.io.serialize import machine_from_dict
     from repro.sim.journal import read_journal
+
+    if faults and (
+        faults.get("outage") is not None
+        or faults.get("availability") is not None
+    ):
+        raise SerializationError(
+            "faults names a capacity fault (outage/availability); the "
+            "journal's churn schedule already records it — pass only "
+            "task/job fault settings"
+        )
 
     records, _nbytes, _clean = read_journal(path)
     if not records or records[0].type != "meta":

@@ -21,7 +21,7 @@ class TestTopLevelApi:
 
     def test_version_has_one_source(self):
         """pyproject reads the version from repro._version, and the
-        latest CHANGELOG entry names that same version."""
+        latest CHANGELOG entry and CITATION.cff name that same version."""
         tomllib = pytest.importorskip("tomllib")
         root = os.path.join(os.path.dirname(__file__), "..")
         with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
@@ -34,6 +34,9 @@ class TestTopLevelApi:
         with open(os.path.join(root, "CHANGELOG.md"), encoding="utf-8") as fh:
             latest = re.search(r"^## (\S+)", fh.read(), re.MULTILINE)
         assert latest.group(1) == repro.__version__
+        with open(os.path.join(root, "CITATION.cff"), encoding="utf-8") as fh:
+            cited = re.search(r"^version: (\S+)$", fh.read(), re.MULTILINE)
+        assert cited.group(1) == repro.__version__
 
     @pytest.mark.parametrize(
         "module",

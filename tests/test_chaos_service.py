@@ -213,7 +213,9 @@ def test_chaos_both_engines_same_jobset_same_digest(tmp_path):
             ChaosConfig(seed=9, drop_rate=0.2, disconnect_rate=0.1)
         )
         print(f"{engine} chaos plan:\n" + chaos.describe(100))
-        with ThreadedServer(svc, chaos=chaos) as ts:
+        # a glacial ticker: only drain advances the virtual clock, so
+        # release times cannot depend on wall-clock request timing
+        with ThreadedServer(svc, chaos=chaos, tick_interval=3600.0) as ts:
             with ServiceClient(
                 ts.address,
                 timeout=1.0,
@@ -289,8 +291,8 @@ def test_partition_heals_mid_retry_budget(engine, direction):
 # degradation ladder surfaced end to end
 # ----------------------------------------------------------------------
 class TestDegradation:
-    def _serve(self, svc):
-        return ThreadedServer(svc, metrics_port=0)
+    def _serve(self, svc, **kwargs):
+        return ThreadedServer(svc, metrics_port=0, **kwargs)
 
     def test_healthz_503_names_shedding_state(self):
         cfg = ServiceConfig(
@@ -299,7 +301,9 @@ class TestDegradation:
             resilience=ResilienceConfig(shed_depth_frac=0.5),
         )
         svc = SchedulingService(cfg, obs=Observability())
-        with self._serve(svc) as ts:
+        # a glacial ticker keeps the admitted jobs in flight, however
+        # slowly the requests arrive
+        with self._serve(svc, tick_interval=3600.0) as ts:
             status, doc = fetch_healthz(ts.metrics_address)
             assert (status, doc["state"]) == (200, "healthy")
             with ServiceClient(ts.address) as cli:

@@ -143,7 +143,7 @@ class TestFaultyResume:
                 KRad(),
                 js.fresh_copy(),
                 record_trace=True,
-                capacity_schedule=cap,
+                churn=cap,
                 fault_model=TaskFailures(0.15, seed=5),
             )
 
@@ -153,7 +153,7 @@ class TestFaultyResume:
                 stop_at,
                 {
                     "scheduler": KRad(),
-                    "capacity_schedule": cap,
+                    "churn": cap,
                     "fault_model": TaskFailures(0.15, seed=5),
                 },
             )

@@ -1,14 +1,18 @@
 """Elastic processor churn: events, schedules, and scheduler migration.
 
-Churn differs from the fault-injection capacity schedules in one crucial
-way: it may *grow* a category past the nominal machine.  These tests pin
-the event/schedule semantics, the engine integration (rebinds, boundary
-notifications, envelope-sized traces), the forced RAD DEQ<->RR state
-migrations, and the time-expanded-LB certificate.
+Churn is the engine's one capacity timeline: one-off events may *grow* a
+category past the nominal machine, while recurring windows and random
+availability (the capacity faults of :mod:`repro.sim.faults`) only remove
+processors.  These tests pin the event/schedule semantics, the document
+round trip, the engine integration (rebinds, boundary notifications,
+envelope-sized traces), the forced RAD DEQ<->RR state migrations, and the
+time-expanded-LB certificate.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from repro.errors import SerializationError, SimulationError
 from repro.jobs import workloads
@@ -16,7 +20,6 @@ from repro.machine import KResourceMachine
 from repro.machine.churn import ChurnEvent, ChurnSchedule
 from repro.schedulers import KRad
 from repro.sim import Simulator, simulate, validate_schedule
-from repro.sim.faults import periodic_outage
 from repro.theory import bounds
 
 
@@ -35,6 +38,11 @@ class TestChurnEvent:
         assert ev.active_at(6)  # live for exactly `duration` steps
         assert not ev.active_at(7)
 
+    def test_recurring_window(self):
+        ev = ChurnEvent(step=3, category=0, delta=-2, duration=2, period=5)
+        live = [t for t in range(1, 16) if ev.active_at(t)]
+        assert live == [3, 4, 8, 9, 13, 14]
+
     def test_validation(self):
         with pytest.raises(SimulationError):
             ChurnEvent(step=0, category=0, delta=1)
@@ -42,12 +50,20 @@ class TestChurnEvent:
             ChurnEvent(step=1, category=0, delta=0)
         with pytest.raises(SimulationError):
             ChurnEvent(step=1, category=0, delta=1, duration=0)
+        with pytest.raises(SimulationError, match="duration <= period"):
+            ChurnEvent(step=1, category=0, delta=-1, duration=6, period=5)
+        with pytest.raises(SimulationError, match="duration <= period"):
+            ChurnEvent(step=1, category=0, delta=-1, period=5)
+        with pytest.raises(SimulationError, match="delta < 0"):
+            ChurnEvent(step=1, category=0, delta=1, duration=1, period=5)
 
     def test_dict_round_trip(self):
         ev = ChurnEvent(step=5, category=1, delta=-3, duration=2)
         assert ChurnEvent.from_dict(ev.to_dict()) == ev
         perm = ChurnEvent(step=2, category=0, delta=4)
         assert ChurnEvent.from_dict(perm.to_dict()) == perm
+        cyc = ChurnEvent(step=1, category=0, delta=-1, duration=2, period=7)
+        assert ChurnEvent.from_dict(cyc.to_dict()) == cyc
 
 
 class TestChurnSchedule:
@@ -78,6 +94,48 @@ class TestChurnSchedule:
         )
         assert churn.capacities(1) == (0,)
 
+    def test_availability_thins_after_events(self):
+        events = [ChurnEvent(step=1, category=0, delta=4)]
+        full = ChurnSchedule((4, 2), events)
+        thin = ChurnSchedule((4, 2), events, availability=0.5, seed=3)
+        draws = [thin.capacities(t) for t in range(1, 40)]
+        assert all(
+            0 <= c <= f for t, caps in enumerate(draws, start=1)
+            for c, f in zip(caps, full.capacities(t))
+        )
+        assert draws != [full.capacities(t) for t in range(1, 40)]
+        assert thin.capacities(7) == thin.capacities(7)
+        same = ChurnSchedule((4, 2), events, availability=0.5, seed=3)
+        assert [same.capacities(t) for t in range(1, 40)] == draws
+
+    def test_peak_ignores_removal_only_parts(self):
+        churn = ChurnSchedule(
+            (4, 2),
+            [
+                ChurnEvent(step=1, category=0, delta=-3, duration=2, period=4),
+                ChurnEvent(step=3, category=1, delta=2, duration=2),
+            ],
+            availability=0.3,
+        )
+        assert churn.peak_capacities() == (4, 4)
+        assert churn.breakpoints() == (1, 3, 5)
+
+    def test_version_1_document_still_loads(self):
+        doc = {
+            "format": "churn-schedule",
+            "version": 1,
+            "nominal": [4, 2],
+            "events": [
+                {"step": 2, "category": 0, "delta": -1, "duration": 3}
+            ],
+        }
+        churn = ChurnSchedule.from_dict(doc)
+        assert churn.events == (
+            ChurnEvent(step=2, category=0, delta=-1, duration=3),
+        )
+        assert churn.availability is None
+        assert churn.to_dict()["version"] == 2
+
     def test_breakpoints(self):
         churn = ChurnSchedule(
             (4, 2),
@@ -95,6 +153,8 @@ class TestChurnSchedule:
             ChurnSchedule((4,), [ChurnEvent(step=1, category=1, delta=1)])
         with pytest.raises(SimulationError):
             ChurnSchedule((4,), ["not an event"])
+        with pytest.raises(SimulationError, match="availability"):
+            ChurnSchedule((4,), availability=1.5)
 
     def test_dict_round_trip(self):
         churn = ChurnSchedule(
@@ -127,10 +187,32 @@ class TestChurnSchedule:
             ({"events": [{"category": 0, "delta": 1}]}, "step"),
             ({"events": [{"step": "x", "category": 0, "delta": 1}]}, "step"),
             ({"events": [[1, 0, 1]]}, "mapping"),
+            (
+                {"events": [{"step": 1, "category": 0, "delta": -1,
+                             "duration": 1, "period": "x"}]},
+                "period",
+            ),
+            (
+                {"events": [{"step": 1, "category": 0, "delta": -1,
+                             "duration": 3, "period": 2}]},
+                "period",
+            ),
+            (
+                {"events": [{"step": 1, "category": 0, "delta": 2,
+                             "duration": 1, "period": 2}]},
+                "delta < 0",
+            ),
+            ({"availability": 0.5}, "availability"),
+            ({"availability": {"p": "x", "seed": 0}}, "availability"),
+            ({"availability": {"p": 0.5}}, "availability"),
+            ({"availability": {"p": 2.0, "seed": 0}}, "availability"),
         ],
         ids=[
             "no-nominal", "no-events", "str-nominal", "event-no-step",
-            "event-str-step", "event-array",
+            "event-str-step", "event-array", "event-str-period",
+            "event-period-below-duration", "event-recurring-growth",
+            "availability-scalar", "availability-str-p",
+            "availability-no-seed", "availability-out-of-range",
         ],
     )
     def test_from_dict_names_the_malformed_field(self, patch, field):
@@ -201,21 +283,6 @@ class TestEngineUnderChurn:
         r2 = simulate(machine2, KRad(), js, churn=churn)
         assert r1.makespan == r2.makespan
         assert r1.completion_times == r2.completion_times
-
-    def test_churn_excludes_capacity_schedule(self, rng, machine2):
-        js = workloads.random_dag_jobset(rng, 2, 4)
-        churn = ChurnSchedule(
-            (4, 2), [ChurnEvent(step=2, category=0, delta=-1)]
-        )
-        cap = periodic_outage((4, 2), category=0, period=5, duration=2)
-        with pytest.raises(SimulationError, match="mutually exclusive"):
-            Simulator(
-                machine2,
-                KRad(),
-                js.fresh_copy(),
-                churn=churn,
-                capacity_schedule=cap,
-            )
 
     def test_churn_nominal_must_match_machine(self, rng, machine2):
         js = workloads.random_dag_jobset(rng, 2, 4)
@@ -348,3 +415,61 @@ class TestChurnCheckpoint:
         snap = sim.checkpoint()
         with pytest.raises(SimulationError, match="churn"):
             Simulator.restore(snap, KRad())
+
+
+@hst.composite
+def churn_schedules(draw):
+    """Random one-off and recurring events, with or without availability."""
+    k = draw(hst.integers(1, 3))
+    nominal = tuple(draw(hst.integers(1, 6)) for _ in range(k))
+    events = []
+    for _ in range(draw(hst.integers(0, 5))):
+        step = draw(hst.integers(1, 20))
+        cat = draw(hst.integers(0, k - 1))
+        if draw(hst.booleans()):
+            period = draw(hst.integers(1, 12))
+            events.append(
+                ChurnEvent(
+                    step=step,
+                    category=cat,
+                    delta=draw(hst.integers(-8, -1)),
+                    duration=draw(hst.integers(1, period)),
+                    period=period,
+                )
+            )
+        else:
+            events.append(
+                ChurnEvent(
+                    step=step,
+                    category=cat,
+                    delta=draw(hst.integers(-8, 8).filter(bool)),
+                    duration=draw(
+                        hst.one_of(hst.none(), hst.integers(1, 10))
+                    ),
+                )
+            )
+    availability = draw(
+        hst.one_of(hst.none(), hst.floats(0.0, 1.0, allow_nan=False))
+    )
+    return ChurnSchedule(
+        nominal,
+        events,
+        availability=availability,
+        seed=draw(hst.integers(0, 2**31)),
+    )
+
+
+@given(churn_schedules())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_churn_document_round_trip_and_envelope(churn):
+    clone = ChurnSchedule.from_dict(churn.to_dict())
+    assert clone.to_dict() == churn.to_dict()
+    peak = churn.peak_capacities()
+    for t in range(1, 60):
+        caps = churn.capacities(t)
+        assert clone.capacities(t) == caps
+        assert all(0 <= c <= p for c, p in zip(caps, peak))

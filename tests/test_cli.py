@@ -493,6 +493,48 @@ class TestRecoverSubcommand:
         assert "makespan" in out
 
 
+    @pytest.mark.parametrize("fault", ["outage", "availability"])
+    def test_recover_rebuilds_capacity_faults_from_journal(
+        self, capsys, tmp_path, fault
+    ):
+        """Capacity faults are churn: the journal alone carries them, so
+        ``recover`` takes no capacity flag and still finishes the run
+        exactly as the uninterrupted one did."""
+        import numpy as np
+
+        from repro.jobs import workloads
+        from repro.machine import KResourceMachine
+        from repro.schedulers import KRad
+        from repro.sim import Journal, Simulator
+        from repro.sim.faults import RandomDegradation, periodic_outage
+
+        machine = KResourceMachine((4, 2))
+        churn = (
+            periodic_outage((4, 2), 0, period=6, duration=2, degraded=0)
+            if fault == "outage"
+            else RandomDegradation((4, 2), availability=0.6, seed=5)
+        )
+        js = workloads.random_dag_jobset(
+            np.random.default_rng(3), 2, 6, size_hint=12
+        )
+        ref = Simulator(machine, KRad(), js.fresh_copy(), churn=churn).run()
+        journal = str(tmp_path / "cap.journal")
+        sim = Simulator(
+            machine,
+            KRad(),
+            js.fresh_copy(),
+            churn=churn,
+            journal=Journal(journal, checkpoint_every=4, fsync=False),
+        )
+        assert sim.run_until(5) is None
+        sim._journal.close()
+        with pytest.raises(SystemExit):
+            main(["recover", journal, f"--{fault}", "1"])
+        capsys.readouterr()
+        assert main(["recover", journal]) == 0
+        assert ref.summary() in capsys.readouterr().out
+
+
 class TestServeCli:
     """Flag-conflict guards of the service subcommands: every bad
     combination fails fast with exit 2 and a one-line stderr, never a

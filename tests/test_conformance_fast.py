@@ -140,7 +140,7 @@ def test_outage_conform():
             jobset=js,
             seed=7,
             record_trace=True,
-            capacity_schedule=periodic_outage(
+            churn=periodic_outage(
                 (4, 2), category=0, period=10, duration=4, degraded=0
             ),
         )

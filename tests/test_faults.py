@@ -1,11 +1,11 @@
-"""Tests for failure injection: capacity schedules, task failures, kills."""
+"""Tests for failure injection: capacity faults, task failures, kills."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ScheduleError, SimulationError
 from repro.jobs import workloads
-from repro.machine import KResourceMachine
+from repro.machine import ChurnEvent, ChurnSchedule, KResourceMachine
 from repro.schedulers import KRad, KRoundRobin
 from repro.sim import RecordingScheduler, Simulator, simulate, validate_schedule
 from repro.sim.faults import (
@@ -27,6 +27,16 @@ class TestPeriodicOutage:
         assert sched(3) == (2, 4)
         assert sched(4) == (8, 4)
         assert sched(11) == (2, 4)  # next period
+
+    def test_is_churn_that_only_removes(self):
+        sched = periodic_outage(
+            (8, 4), category=0, period=10, duration=3, degraded=2
+        )
+        assert isinstance(sched, ChurnSchedule)
+        assert sched.peak_capacities() == (8, 4)
+        idle = periodic_outage((8, 4), category=0, period=10, duration=0)
+        assert idle.events == ()
+        assert all(idle(t) == (8, 4) for t in range(1, 12))
 
     def test_full_outage_allowed(self):
         sched = periodic_outage(
@@ -64,10 +74,6 @@ class TestRandomDegradation:
         caps = [d(t)[0] for t in range(1, 50)]
         assert all(c >= 0 for c in caps)
         assert min(caps) == 0  # full outages do occur at 1% availability
-
-    def test_floor_respected(self):
-        d = RandomDegradation((2,), availability=0.01, seed=0, floor=1)
-        assert all(d(t)[0] >= 1 for t in range(1, 50))
 
     def test_availability_validated(self):
         RandomDegradation((4,), availability=0.0)  # full outage: legal now
@@ -134,7 +140,7 @@ class TestEngineIntegration:
             machine,
             KRad(),
             js,
-            capacity_schedule=periodic_outage(
+            churn=periodic_outage(
                 (8, 4), category=0, period=8, duration=4
             ),
         )
@@ -148,7 +154,7 @@ class TestEngineIntegration:
             machine,
             KRad(),
             js,
-            capacity_schedule=periodic_outage(
+            churn=periodic_outage(
                 (4,), category=0, period=6, duration=2, degraded=0
             ),
         )
@@ -164,7 +170,10 @@ class TestEngineIntegration:
                 machine,
                 KRad(),
                 js,
-                capacity_schedule=lambda t: (0,),  # permanently dark
+                # permanently dark
+                churn=ChurnSchedule(
+                    (4,), [ChurnEvent(step=1, category=0, delta=-4)]
+                ),
                 max_stall_steps=10,
             )
 
@@ -175,7 +184,7 @@ class TestEngineIntegration:
             machine,
             KRad(),
             js,
-            capacity_schedule=RandomDegradation((4, 4), seed=1, floor=1),
+            churn=RandomDegradation((4, 4), seed=1),
             record_trace=True,
         )
         validate_schedule(r.trace, js)  # degraded <= nominal, still valid
@@ -235,27 +244,11 @@ class TestEngineIntegration:
             machine,
             KRoundRobin(),
             js,
-            capacity_schedule=periodic_outage(
+            churn=periodic_outage(
                 (2,), category=0, period=6, duration=2
             ),
         )
         assert len(r.completion_times) == len(js)
-
-    def test_bad_schedule_rejected(self, rng):
-        machine = KResourceMachine((4,))
-        js = workloads.random_dag_jobset(rng, 1, 2)
-        with pytest.raises(SimulationError):
-            simulate(
-                machine, KRad(), js, capacity_schedule=lambda t: (9,)
-            )  # above nominal
-        with pytest.raises(SimulationError):
-            simulate(
-                machine, KRad(), js, capacity_schedule=lambda t: (4, 4)
-            )  # wrong K
-        with pytest.raises(SimulationError):
-            simulate(
-                machine, KRad(), js, capacity_schedule=lambda t: (-1,)
-            )  # negative
 
     def test_rebind_category_mismatch_rejected(self):
         sched = KRad()
@@ -271,7 +264,7 @@ class TestEngineIntegration:
             machine,
             KRad(),
             js.fresh_copy(),
-            capacity_schedule=RandomDegradation((4,), seed=0),
+            churn=RandomDegradation((4,), seed=0),
         )
         assert degraded._max_steps > healthy._max_steps
 
@@ -286,9 +279,7 @@ class TestRecordingUnderDegradation:
             (4, 2), category=0, period=5, duration=2, degraded=1
         )
         rec = RecordingScheduler(sched)
-        r = simulate(
-            machine, rec, js, capacity_schedule=cap, record_trace=True
-        )
+        r = simulate(machine, rec, js, churn=cap, record_trace=True)
         return machine, js, cap, rec, r
 
     def test_records_intact_and_run_completes(self, rng):

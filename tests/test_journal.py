@@ -23,7 +23,17 @@ from repro.sim import (
     read_journal,
     state_digest,
 )
-from repro.sim.faults import TaskFailures
+from repro.sim.faults import RandomDegradation, TaskFailures, periodic_outage
+
+#: capacity faults are churn, so the journal alone rebuilds them
+CAPACITY_FAULTS = {
+    "outage": lambda caps: periodic_outage(
+        caps, 0, period=5, duration=2, degraded=0
+    ),
+    "availability": lambda caps: RandomDegradation(
+        caps, availability=0.6, seed=4
+    ),
+}
 
 
 def _make_js(rng, n=6):
@@ -317,6 +327,28 @@ class TestJournaledRuns:
             fh.write(b'{"seq":99,"type":"step","crc":0,"data"')
         r = Simulator.recover(path, fsync=False).run()
         assert r.makespan == ref.makespan
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("fault", sorted(CAPACITY_FAULTS))
+    def test_capacity_faults_recover_without_hooks(
+        self, rng, machine2, tmp_path, engine, fault
+    ):
+        js = _make_js(rng)
+        churn = CAPACITY_FAULTS[fault](machine2.capacities)
+        cls = engine_class(engine)
+        ref = cls(machine2, KRad(), js.fresh_copy(), churn=churn).run()
+        assert ref.stall_steps > 0 or fault == "availability"
+        path = str(tmp_path / "run.journal")
+        sim = cls(
+            machine2,
+            KRad(),
+            js.fresh_copy(),
+            churn=churn,
+            journal=Journal(path, checkpoint_every=4, fsync=False),
+        )
+        assert sim.run_until(7) is None
+        sim._journal.close()
+        _assert_identical(cls.recover(path, fsync=False).run(), ref)
 
     def test_recover_faulty_supervised_churned_run(
         self, rng, machine2, tmp_path

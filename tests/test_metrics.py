@@ -206,7 +206,7 @@ class TestRobustnessMetrics:
             machine,
             KRad(),
             js,
-            capacity_schedule=periodic_outage(
+            churn=periodic_outage(
                 (4,), category=0, period=5, duration=2, degraded=0
             ),
         )

@@ -7,10 +7,9 @@ from repro.dag import builders
 from repro.errors import CategoryError, ReproError, SimulationError
 from repro.jobs import JobSet, Phase, PhaseJob, workloads
 from repro.machine import KResourceMachine
+from repro.io.serialize import machine_from_dict, machine_to_dict
 from repro.perf import (
-    SpeedMachine,
     job_weighted_span,
-    simulate_speeds,
     speed_makespan_lower_bound,
     weighted_span,
 )
@@ -18,23 +17,47 @@ from repro.schedulers import KRad
 from repro.sim import simulate
 
 
+def _machine(caps, speeds, names=None):
+    """A machine whose categories run at the given speeds."""
+    return KResourceMachine(caps, names=names, speeds=speeds)
+
+
 class TestSpeedMachine:
     def test_basic(self):
-        m = SpeedMachine((4, 2), (1, 3), names=("cpu", "vector"))
+        m = _machine((4, 2), (1, 3), names=("cpu", "vector"))
         assert m.speeds == (1, 3)
         assert m.max_speed == 3
         assert m.speed(1) == 3
         assert m.throughput_vector().tolist() == [4, 6]
         assert m.capacities == (4, 2)
-        assert m.base.num_categories == 2
+        assert m.num_categories == 2
+        assert KResourceMachine((4, 2)).speeds == (1, 1)
+        assert KResourceMachine((4, 2)).max_speed == 1
 
     def test_validation(self):
         with pytest.raises(CategoryError):
-            SpeedMachine((4, 2), (1,))
+            _machine((4, 2), (1,))
         with pytest.raises(CategoryError):
-            SpeedMachine((4,), (0,))
+            _machine((4,), (0,))
         with pytest.raises(CategoryError):
-            SpeedMachine((4,), (1,)).speed(1)
+            _machine((4,), (1,)).speed(1)
+
+    def test_speeds_in_equality_and_hash(self):
+        assert _machine((4, 2), (1, 3)) != KResourceMachine((4, 2))
+        assert _machine((4, 2), (1, 1)) == KResourceMachine((4, 2))
+        assert hash(_machine((4, 2), (1, 1))) == hash(
+            KResourceMachine((4, 2))
+        )
+        assert len({_machine((4, 2), (1, 3)), KResourceMachine((4, 2))}) == 2
+
+    def test_dict_writes_speeds_only_above_one(self):
+        plain = machine_to_dict(_machine((4, 2), (1, 1)))
+        assert "speeds" not in plain
+        assert plain == machine_to_dict(KResourceMachine((4, 2)))
+        m = _machine((4, 2), (1, 3))
+        doc = machine_to_dict(m)
+        assert doc["speeds"] == [1, 3]
+        assert machine_from_dict(doc) == m
 
 
 class TestWeightedSpan:
@@ -86,7 +109,7 @@ class TestSpeedEngine:
         caps = (4, 2, 8)
         js = workloads.random_dag_jobset(rng, 3, 6)
         a = simulate(KResourceMachine(caps), KRad(), js)
-        b = simulate_speeds(SpeedMachine(caps, (1, 1, 1)), KRad(), js)
+        b = simulate(_machine(caps, (1, 1, 1)), KRad(), js)
         assert a.makespan == b.makespan
         assert a.completion_times == b.completion_times
 
@@ -94,41 +117,69 @@ class TestSpeedEngine:
         # a serial chain of 12 category-0 tasks at speed 3 -> 4 steps
         dag = builders.chain([0] * 12, 1)
         js = JobSet.from_dags([dag])
-        m = SpeedMachine((2,), (3,))
-        r = simulate_speeds(m, KRad(), js)
+        m = _machine((2,), (3,))
+        r = simulate(m, KRad(), js)
         assert r.makespan == 4
 
     def test_wide_work_speedup_is_exact(self):
         # 24 independent tasks, 2 procs at speed 3 -> 24 / 6 = 4 steps
         dag = builders.independent_tasks([24])
         js = JobSet.from_dags([dag])
-        r = simulate_speeds(SpeedMachine((2,), (3,)), KRad(), js)
+        r = simulate(_machine((2,), (3,)), KRad(), js)
         assert r.makespan == 4
 
     def test_speed_never_hurts(self, rng):
         caps = (4, 2)
         js = workloads.random_dag_jobset(rng, 2, 6)
-        slow = simulate_speeds(SpeedMachine(caps, (1, 1)), KRad(), js)
-        fast = simulate_speeds(SpeedMachine(caps, (2, 3)), KRad(), js)
+        slow = simulate(_machine(caps, (1, 1)), KRad(), js)
+        fast = simulate(_machine(caps, (2, 3)), KRad(), js)
         assert fast.makespan <= slow.makespan
 
     def test_lower_bound_respected(self, rng):
-        m = SpeedMachine((4, 2), (2, 3))
+        m = _machine((4, 2), (2, 3))
         js = workloads.random_dag_jobset(rng, 2, 5)
-        r = simulate_speeds(m, KRad(), js)
+        r = simulate(m, KRad(), js)
         assert r.makespan >= speed_makespan_lower_bound(js, m) - 1e-9
 
     def test_k_mismatch_rejected(self, rng):
         js = workloads.random_dag_jobset(rng, 2, 2)
         with pytest.raises(SimulationError):
-            simulate_speeds(SpeedMachine((4,), (1,)), KRad(), js)
+            simulate(_machine((4,), (1,)), KRad(), js)
 
     def test_phase_jobs_supported(self):
         js = JobSet([PhaseJob([Phase([12], [4])], job_id=0)])
-        r = simulate_speeds(SpeedMachine((4,), (3,)), KRad(), js)
+        r = simulate(_machine((4,), (3,)), KRad(), js)
         assert r.makespan == 1  # 4 procs x 3 speed = 12 units in one step
+
+    def test_fast_engine_runs_speeds_like_reference(self, rng):
+        # K-RAD on phase jobs is lean-eligible except for the speeds
+        m = _machine((4, 2), (2, 3))
+        js = workloads.random_phase_jobset(rng, 2, 6, max_work=20)
+        ref = simulate(m, KRad(), js, engine="reference")
+        fast = simulate(m, KRad(), js, engine="fast")
+        assert fast.completion_times == ref.completion_times
+        assert fast.busy.tolist() == ref.busy.tolist()
+        assert ref.makespan < simulate(
+            KResourceMachine((4, 2)), KRad(), js
+        ).makespan
+
+    def test_trace_needs_unit_speeds(self, rng):
+        js = workloads.random_dag_jobset(rng, 2, 2)
+        with pytest.raises(SimulationError, match="unit speeds"):
+            simulate(_machine((4, 2), (1, 2)), KRad(), js, record_trace=True)
+
+    def test_checkpoint_resume_keeps_speeds(self, rng):
+        from repro.sim import Simulator
+
+        m = _machine((4, 2), (2, 3))
+        js = workloads.random_dag_jobset(rng, 2, 6)
+        full = simulate(m, KRad(), js)
+        sim = Simulator(m, KRad(), js.fresh_copy())
+        assert sim.run_until(2) is None
+        resumed = Simulator.restore(sim.checkpoint(), KRad()).run()
+        assert resumed.completion_times == full.completion_times
 
     def test_lb_k_mismatch_rejected(self, rng):
         js = workloads.random_dag_jobset(rng, 2, 2)
         with pytest.raises(ReproError):
-            speed_makespan_lower_bound(js, SpeedMachine((4,), (1,)))
+            speed_makespan_lower_bound(js, _machine((4,), (1,)))

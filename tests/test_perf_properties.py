@@ -1,4 +1,4 @@
-"""Property-based tests for the performance-heterogeneity engine."""
+"""Property-based tests for the engine on machines with speeds."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from repro.jobs import workloads
 from repro.machine import KResourceMachine
-from repro.perf import SpeedMachine, simulate_speeds, speed_makespan_lower_bound
+from repro.perf import speed_makespan_lower_bound
 from repro.schedulers import KRad
 from repro.sim import simulate
+
+
+def _machine(caps, speeds):
+    """A machine whose categories run at the given speeds."""
+    return KResourceMachine(caps, speeds=speeds)
 
 _SETTINGS = settings(
     max_examples=25,
@@ -36,8 +41,8 @@ class TestSpeedProperties:
     def test_unit_speed_equivalence(self, case):
         caps, _, js = case
         a = simulate(KResourceMachine(caps), KRad(), js)
-        b = simulate_speeds(
-            SpeedMachine(caps, tuple(1 for _ in caps)), KRad(), js
+        b = simulate(
+            _machine(caps, tuple(1 for _ in caps)), KRad(), js
         )
         assert a.makespan == b.makespan
         assert a.completion_times == b.completion_times
@@ -46,8 +51,8 @@ class TestSpeedProperties:
     @_SETTINGS
     def test_lower_bound_respected(self, case):
         caps, speeds, js = case
-        machine = SpeedMachine(caps, speeds)
-        r = simulate_speeds(machine, KRad(), js)
+        machine = _machine(caps, speeds)
+        r = simulate(machine, KRad(), js)
         assert r.makespan >= speed_makespan_lower_bound(js, machine) - 1e-9
 
     @given(speed_case())
@@ -64,9 +69,9 @@ class TestSpeedProperties:
         cost at most that constant factor (plus unit-step rounding).
         """
         caps, speeds, js = case
-        slow = simulate_speeds(SpeedMachine(caps, speeds), KRad(), js)
-        fast = simulate_speeds(
-            SpeedMachine(caps, tuple(2 * s for s in speeds)), KRad(), js
+        slow = simulate(_machine(caps, speeds), KRad(), js)
+        fast = simulate(
+            _machine(caps, tuple(2 * s for s in speeds)), KRad(), js
         )
         k = len(caps)
         pmax = max(caps)
@@ -77,7 +82,7 @@ class TestSpeedProperties:
     @_SETTINGS
     def test_all_work_completes(self, case):
         caps, speeds, js = case
-        machine = SpeedMachine(caps, speeds)
-        r = simulate_speeds(machine, KRad(), js)
+        machine = _machine(caps, speeds)
+        r = simulate(machine, KRad(), js)
         assert set(r.completion_times) == {j.job_id for j in js}
         assert r.busy.tolist() == js.total_work_vector().tolist()

@@ -377,7 +377,7 @@ class TestReplay:
 def _run_service(tmp_path, *, faults=None, cancel=True):
     spec = faults
     caps = (4, 2)
-    cs, fm, rp = fault_objects_from_spec(caps, spec)
+    churn, fm, rp = fault_objects_from_spec(caps, spec)
     cfg = ServiceConfig(
         capacities=caps,
         seed=3,
@@ -385,9 +385,7 @@ def _run_service(tmp_path, *, faults=None, cancel=True):
         trace_path=str(tmp_path / "svc.trace.ndjson"),
         extra={"faults": spec},
     )
-    svc = SchedulingService(
-        cfg, fault_model=fm, retry_policy=rp, capacity_schedule=cs
-    )
+    svc = SchedulingService(cfg, fault_model=fm, retry_policy=rp, churn=churn)
     rng = np.random.default_rng(21)
     for i in range(8):
         job = random_phase_job(rng, 2, max_phases=2, max_work=12, job_id=0)
@@ -442,6 +440,44 @@ class TestServiceRecording:
         # and the journal-derived trace replays to the same terminal state
         out = replay(jt, engine="fast")
         assert out.state_digest == summary["digest"]
+
+    def test_outage_journal_converts_and_replays(self, tmp_path):
+        """A capacity fault journals as churn: the journal-derived trace
+        carries it in ``churn`` and replays to the drain digest."""
+        spec = fault_spec(
+            outage="6:2:0", kill_rate=0.02, max_attempts=3, seed=3
+        )
+        cfg, svc, summary = _run_service(tmp_path, faults=spec)
+        live = WorkloadTrace.load(cfg.trace_path)
+        assert live.faults == spec
+        assert live.churn is None
+        with pytest.raises(SerializationError, match="outage"):
+            workload_trace_from_journal(
+                cfg.journal_path, seed=cfg.seed, faults=spec
+            )
+        jt = workload_trace_from_journal(
+            cfg.journal_path,
+            seed=cfg.seed,
+            faults=fault_spec(kill_rate=0.02, max_attempts=3, seed=3),
+        )
+        assert jt.churn is not None
+        assert jt.records_digest() == live.records_digest()
+        for tr in (live, jt):
+            for out in replay_compare(tr).values():
+                assert out.state_digest == summary["digest"]
+
+    def test_replay_rejects_two_capacity_timelines(self):
+        from repro.machine.churn import ChurnEvent, ChurnSchedule
+
+        tr = WorkloadTrace(
+            capacities=(4, 2),
+            faults=fault_spec(outage="6:2"),
+            churn=ChurnSchedule(
+                (4, 2), [ChurnEvent(step=3, category=1, delta=1)]
+            ).to_dict(),
+        )
+        with pytest.raises(ReplayError, match="one capacity timeline"):
+            replay(tr)
 
 
 class TestCli:

@@ -154,6 +154,41 @@ class TestServiceCore:
         with pytest.raises(ServiceError, match="journal_path"):
             SchedulingService.recover(cfg)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("fault", ["outage", "availability"])
+    def test_capacity_faults_recover_from_config_alone(
+        self, tmp_path, engine, fault
+    ):
+        from repro.sim.faults import RandomDegradation, periodic_outage
+
+        churn = (
+            periodic_outage(CAPS, 0, period=6, duration=3, degraded=0)
+            if fault == "outage"
+            else RandomDegradation(CAPS, availability=0.6, seed=2)
+        )
+
+        def run(path, crash):
+            cfg = ServiceConfig(
+                capacities=CAPS,
+                seed=7,
+                engine=engine,
+                journal_path=str(path),
+                fsync=False,
+            )
+            svc = SchedulingService(cfg, obs=Observability(), churn=churn)
+            for i, job in enumerate(_jobs(9, 8)):
+                assert svc.submit(f"t{i % 2}", job)["ok"]
+                svc.tick()
+            if crash:
+                svc.simulator._journal.close()
+                svc = SchedulingService.recover(cfg, obs=Observability())
+            return svc.drain()
+
+        ref = run(tmp_path / "ref.journal", crash=False)
+        got = run(tmp_path / "crash.journal", crash=True)
+        assert got["digest"] == ref["digest"]
+        assert got["completions"] == ref["completions"]
+
     def test_metrics_registry_has_service_gauges(self):
         cfg = ServiceConfig(capacities=CAPS, seed=4)
         svc = SchedulingService(cfg, obs=Observability())

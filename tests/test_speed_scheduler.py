@@ -7,7 +7,7 @@ from repro.dag import KDag, builders
 from repro.errors import ReproError, ScheduleError
 from repro.jobs import CP_FIRST, DagJob, JobSet, workloads
 from repro.machine import KResourceMachine
-from repro.perf import SpeedAwareClairvoyant, SpeedMachine, simulate_speeds
+from repro.perf import SpeedAwareClairvoyant
 from repro.sim import simulate
 
 
@@ -60,9 +60,9 @@ class TestSpeedAwareClairvoyant:
             SpeedAwareClairvoyant((0,))
 
     def test_end_to_end_on_speed_machine(self, rng):
-        machine = SpeedMachine((4, 2), (1, 4))
+        machine = KResourceMachine((4, 2), speeds=(1, 4))
         js = workloads.random_dag_jobset(rng, 2, 5, size_hint=10)
-        r = simulate_speeds(
+        r = simulate(
             machine, SpeedAwareClairvoyant((1, 4)), js, policy=CP_FIRST
         )
         assert len(r.completion_times) == 5
