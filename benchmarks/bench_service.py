@@ -13,11 +13,20 @@ Per-submission wall times are collected inside the measured callable;
 after timing, each cell prints submissions/sec and the p50/p99
 submit-to-ack latency across shards — the numbers the SIGKILL
 acceptance test in ``tests/test_shard_service.py`` bounds under fault.
+
+One more cell measures history independence of the durable path: a
+journaled (fsync'd) fast-engine service takes 10,000 jobs with a tick
+after every submission, so only a few jobs are ever live while the
+finished ones pile up.  It prints ms per step and µs per submission over
+the first and the last 1,000 steps and submissions, and journal bytes
+per step; a durable path that costs O(live jobs) reads the same at both
+ends.
 ``compare_bench.py`` gates CI on no cell regressing more than 25%
 against the baseline after host-speed normalisation (the engine-speedup
 gate does not apply here; CI passes ``--min-speedup 0``).
 """
 
+import os
 import time
 
 import numpy as np
@@ -118,3 +127,72 @@ def test_sustained_sharded_fleet(benchmark, engine):
     assert not result["failed_shards"], result
     assert set(result["digests"]) == set(range(NUM_SHARDS))
     _report(f"sharded{NUM_SHARDS}[{engine}]", latencies, elapsed)
+
+
+HISTORY_JOBS = 10_000
+WINDOW = 1_000
+
+
+def _window(ticks, rev=False):
+    """(steps, seconds, bytes) summed over the first WINDOW steps."""
+    steps = secs = nbytes = 0
+    for n, dt, b in reversed(ticks) if rev else ticks:
+        if steps >= WINDOW:
+            break
+        steps, secs, nbytes = steps + n, secs + dt, nbytes + b
+    return steps, secs, nbytes
+
+
+def test_journaled_history_independence(benchmark, tmp_path):
+    """10,000 journaled submissions, fsync on, a tick after each: the
+    per-step and per-submission cost at the end of the run against the
+    start."""
+    rng = np.random.default_rng(0)
+    docs = [
+        job_to_dict(j)
+        for j in workloads.random_phase_jobset(
+            rng, len(CAPACITIES), HISTORY_JOBS, max_phases=3, max_work=16
+        ).jobs
+    ]
+    path = str(tmp_path / "history.journal")
+
+    def run():
+        if os.path.exists(path):
+            os.remove(path)
+        svc = SchedulingService(
+            ServiceConfig(
+                capacities=CAPACITIES,
+                engine="fast",
+                seed=0,
+                tenant_quota=HISTORY_JOBS,
+                max_in_flight=HISTORY_JOBS,
+                journal_path=path,
+                fsync=True,
+            )
+        )
+        submits, ticks, size = [], [], 0
+        for i, doc in enumerate(docs):
+            t0 = time.perf_counter()
+            assert svc.submit(TENANTS[i % len(TENANTS)], doc)["ok"]
+            t1 = time.perf_counter()
+            clock = svc.clock
+            svc.tick()
+            t2 = time.perf_counter()
+            grown = os.path.getsize(path)
+            submits.append(t1 - t0)
+            ticks.append((svc.clock - clock, t2 - t1, grown - size))
+            size = grown
+        svc.simulator._journal.close()
+        return submits, ticks
+
+    submits, ticks = benchmark.pedantic(run, rounds=1, iterations=1)
+    first, last = _window(ticks), _window(ticks, rev=True)
+    print(
+        f"\nhistory[{HISTORY_JOBS} jobs, {sum(t[0] for t in ticks)} steps]: "
+        f"ms/step first {first[1] / first[0] * 1e3:.3f} "
+        f"last {last[1] / last[0] * 1e3:.3f}; "
+        f"us/submit first {np.mean(submits[:WINDOW]) * 1e6:.0f} "
+        f"last {np.mean(submits[-WINDOW:]) * 1e6:.0f}; "
+        f"journal bytes/step first {first[2] / first[0]:.0f} "
+        f"last {last[2] / last[0]:.0f}"
+    )

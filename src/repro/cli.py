@@ -536,7 +536,7 @@ def _build_supervise_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="full checkpoint record every N steps in the journal "
+        help="checkpoint record every N steps in the journal "
         "(default 25).  Only meaningful with --journal",
     )
     parser.add_argument(
@@ -837,7 +837,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="full checkpoint record every N steps in the journal "
+        help="checkpoint record every N steps in the journal "
         "(default 25).  Only meaningful with --journal",
     )
     parser.add_argument(

@@ -18,7 +18,6 @@ machine level (:mod:`repro.machine`).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

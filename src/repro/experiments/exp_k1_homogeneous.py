@@ -13,8 +13,6 @@ lower bound, verifying:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.sweeps import grid, run_sweep
 from repro.analysis.tables import format_table
 from repro.dag.lowerbound import homogeneous_lower_bound_job

@@ -8,8 +8,6 @@ bound, across machines, load factors and both job backends.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.sweeps import grid, run_sweep
 from repro.analysis.tables import format_table
 from repro.jobs import workloads

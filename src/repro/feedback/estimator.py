@@ -20,7 +20,7 @@ This module is the per-job/per-category estimator;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 

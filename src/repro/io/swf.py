@@ -24,7 +24,7 @@ paths with realistic size/arrival marginals.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

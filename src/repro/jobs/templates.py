@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.dag.kdag import KDag
 from repro.errors import WorkloadError
-from repro.jobs.dag_job import DagJob
 from repro.jobs.jobset import JobSet
 
 __all__ = [

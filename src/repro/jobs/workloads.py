@@ -15,7 +15,7 @@ uniform arrivals), exercising the arbitrary-release-time side of Theorem 3.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -47,7 +47,7 @@ EVENT_KINDS = (
     "job_failed",      # retry budget exhausted; job permanently failed
     "incident",        # supervisor monitor fired (logged or quarantined)
     "quarantine",      # a job was pulled from the live set
-    "checkpoint",      # a full state snapshot was materialised
+    "checkpoint",      # a state checkpoint was materialised
     "journal",         # one write-ahead journal record appended
     "run_end",         # final counters, once per run
     "submit",          # service admitted an online job submission

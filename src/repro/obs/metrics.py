@@ -612,7 +612,7 @@ class RunMetrics:
         c("quarantines_total", "jobs quarantined by the supervisor").inc(
             self.quarantines
         )
-        c("checkpoints_total", "full state snapshots materialised").inc(
+        c("checkpoints_total", "state checkpoints materialised").inc(
             self.checkpoints
         )
         for monitor in sorted(self.incidents):

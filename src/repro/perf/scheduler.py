@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.jobs.dag_job import DagJob
-from repro.perf.bounds import job_weighted_span, weighted_span
 from repro.schedulers.base import Scheduler
 
 __all__ = ["SpeedAwareClairvoyant"]

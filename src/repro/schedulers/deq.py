@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.jobs.base import Job
 from repro.machine.machine import KResourceMachine
 from repro.schedulers.base import Scheduler
 

@@ -198,7 +198,9 @@ class SchedulingService:
                 append=True,
             )
         self._tenant_of: dict[int, str] = {}
-        self._jobs_of: dict[str, list[int]] = {}
+        #: per tenant, the ids that may still be in flight (terminal ids
+        #: are dropped for good: a job never returns to flight)
+        self._flight_of: dict[str, list[int]] = {}
         self._release_of: dict[int, int] = {}
         self._cancelled: set[int] = set()
         #: submission-token -> stored ack (idempotent resubmission)
@@ -251,13 +253,13 @@ class SchedulingService:
         return True
 
     def tenant_in_flight(self, tenant: str) -> int:
-        ids = self._jobs_of.get(tenant)
+        """The tenant's pending, running and retrying jobs (O(those))."""
+        ids = self._flight_of.get(tenant)
         if not ids:
             return 0
-        sim = self._sim
-        return sum(
-            1 for jid in ids if sim.job_state(jid) in _IN_FLIGHT_STATES
-        )
+        state = self._sim.job_state
+        ids[:] = [jid for jid in ids if state(jid) in _IN_FLIGHT_STATES]
+        return len(ids)
 
     def total_in_flight(self) -> int:
         depths = self._sim.queue_depths()
@@ -430,7 +432,7 @@ class SchedulingService:
                 t=clock, release=release, tenant=tenant, job=job
             )
         self._tenant_of[jid] = tenant
-        self._jobs_of.setdefault(tenant, []).append(jid)
+        self._flight_of.setdefault(tenant, []).append(jid)
         self._release_of[jid] = release
         self.obs.on_submit(
             clock, tenant=tenant, job_id=jid, release=release
@@ -515,7 +517,7 @@ class SchedulingService:
             "depths": depths,
             "in_flight": {
                 t: self.tenant_in_flight(t)
-                for t in sorted(self._jobs_of)
+                for t in sorted(self._flight_of)
                 if self.tenant_in_flight(t)
             },
             "certificate_horizon": round(self.certificate_horizon(), 3),
@@ -627,14 +629,14 @@ class SchedulingService:
         ).inc(self._duplicates)
         reg.gauge(
             "service_journal_append_latency_seconds",
-            "EWMA journal append latency (write+fsync)",
+            "EWMA latency of fsync'd journal appends (write+fsync)",
         ).set(self.journal_latency_s())
         depths = self._sim.queue_depths()
         for state in ("pending", "running", "completed", "failed"):
             reg.gauge(
                 "service_jobs", "jobs by lifecycle state", state=state
             ).set(depths[state])
-        for tenant in sorted(self._jobs_of):
+        for tenant in sorted(self._flight_of):
             reg.gauge(
                 "service_in_flight",
                 "unfinished jobs per tenant",
@@ -697,7 +699,7 @@ class SchedulingService:
                 tenant = str(meta.get("tenant", "default"))
                 release = int(rec.data["job"]["release_time"])
                 svc._tenant_of[jid] = tenant
-                svc._jobs_of.setdefault(tenant, []).append(jid)
+                svc._flight_of.setdefault(tenant, []).append(jid)
                 svc._release_of[jid] = release
                 svc._accepted += 1
                 svc._next_id = max(svc._next_id, jid + 1)

@@ -47,10 +47,15 @@ Supervised execution (all optional, all deterministic):
   ``strict`` mode raises :class:`~repro.errors.InvariantViolation`,
   ``resilient`` mode quarantines the offending job and records a
   structured :class:`~repro.sim.supervisor.Incident`;
-* ``journal`` write-ahead-logs every step (CRC-framed, fsync'd) with
-  periodic full checkpoints; :meth:`Simulator.recover` rebuilds a crashed
-  run from the journal, truncates torn tails, replays to the last valid
-  record with digest verification, and resumes bit-for-bit.
+* ``journal`` write-ahead-logs every step (CRC-framed) with periodic
+  checkpoint records: the first is the full :meth:`Simulator.checkpoint`
+  document, every later one carries only the live state plus the history
+  appended since the previous record.  The records that make a promise
+  (header, checkpoints, submissions, cancellations, the end) are fsync'd;
+  step records reach disk with the next fsync.  :meth:`Simulator.recover`
+  rebuilds a crashed run from the journal, truncates torn tails, folds the
+  checkpoint records, replays to the last valid record with digest
+  verification, and resumes bit-for-bit.
 
 The engine is deterministic given (job set, scheduler, policy, seed,
 churn schedule, fault model, retry policy, supervisor).
@@ -59,10 +64,13 @@ churn schedule, fault model, retry policy, supervisor).
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from bisect import insort
+from itertools import islice
 from numbers import Integral
 from time import perf_counter
+from zlib import crc32
 
 import numpy as np
 
@@ -96,9 +104,10 @@ ENGINE_NAMES = ("reference", "fast")
 
 _DEFAULT_ENGINE = "reference"
 
-#: version 3 records capacity faults only as churn; a version-2 document
-#: of an outage run would otherwise resume silently without its outage
-_CHECKPOINT_VERSION = 3
+#: version 4 keeps only unarrived jobs in ``jobs`` (arrived ones live in
+#: ``alive`` or the history maps) and carries the ``history`` CRC; a
+#: version-3 document lists every job ever submitted
+_CHECKPOINT_VERSION = 4
 
 #: top-level / engine keys a checkpoint document must carry, with the type
 #: each holds; validated up front so a malformed document fails with a
@@ -113,11 +122,12 @@ _CHECKPOINT_KEYS = {
     "alive": list,
     "resubmit": list,
     "quarantined": list,
+    "arrived": list,
     "trace": (dict, type(None)),
 }
 _ENGINE_KEYS = {
     "t": Integral,
-    "next_pending": Integral,
+    "arrived": Integral,
     "idle_steps": Integral,
     "stall_steps": Integral,
     "stall_run": Integral,
@@ -138,8 +148,53 @@ _ENGINE_KEYS = {
     "last_caps": list,
     "incidents": list,
     "quarantined_ids": list,
+    "history": Integral,
 }
 _SCHEDULER_KEYS = {"name": str, "state": object}
+
+#: history kinds of a delta record, each a list of ids (1), of
+#: ``[id, value]`` pairs (2) or of objects (``dict``)
+_HISTORY_KINDS = {
+    "completion": 2,
+    "release": 2,
+    "unrelease": 1,
+    "attempts": 2,
+    "failed": 1,
+    "incidents": dict,
+    "quarantined": dict,
+    "arrived": dict,
+}
+
+#: sections of a journal checkpoint-delta record: the live state, which
+#: replaces the folded document's, plus the appended ``history``
+_DELTA_KEYS = {
+    "engine": dict,
+    "scheduler": dict,
+    "rng": dict,
+    "jobs": list,
+    "alive": list,
+    "resubmit": list,
+    "trace": (dict, type(None)),
+    "history": dict,
+}
+#: the engine counters a delta record carries (the rest never change)
+_DELTA_ENGINE_KEYS = {
+    key: _ENGINE_KEYS[key]
+    for key in (
+        "t",
+        "arrived",
+        "idle_steps",
+        "stall_steps",
+        "stall_run",
+        "longest_stall",
+        "makespan",
+        "busy",
+        "wasted",
+        "max_steps",
+        "last_caps",
+        "history",
+    )
+}
 
 
 def _check_section(doc: dict, keys: dict, where: str) -> None:
@@ -150,6 +205,100 @@ def _check_section(doc: dict, keys: dict, where: str) -> None:
     wrong = [k for k, kind in keys.items() if not isinstance(doc[k], kind)]
     if wrong:
         raise SerializationError(f"{where} has wrongly typed keys {wrong}")
+
+
+def _check_checkpoint(data) -> None:
+    """Raise SerializationError unless ``data`` is a readable checkpoint."""
+    if not isinstance(data, dict) or data.get("format") != "checkpoint":
+        raise SerializationError("expected a checkpoint document")
+    if data.get("version") != _CHECKPOINT_VERSION:
+        raise SerializationError(
+            f"unsupported checkpoint version {data.get('version')!r} "
+            f"(this build reads version {_CHECKPOINT_VERSION})"
+        )
+    _check_section(data, _CHECKPOINT_KEYS, "checkpoint document")
+    _check_section(data["engine"], _ENGINE_KEYS, "checkpoint engine section")
+    _check_section(
+        data["scheduler"], _SCHEDULER_KEYS, "checkpoint scheduler section"
+    )
+
+
+def _is_delta(data) -> bool:
+    return isinstance(data, dict) and (
+        data.get("format") == "checkpoint-delta"
+    )
+
+
+def _entries_ok(entries, shape) -> bool:
+    """Is ``entries`` a list of ids (1), id pairs (2) or objects (dict)?"""
+    if not isinstance(entries, list):
+        return False
+    if shape is dict:
+        return all(isinstance(e, dict) for e in entries)
+    if shape == 1:
+        return all(type(e) is int for e in entries)
+    return all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+        for e in entries
+    )
+
+
+def _fold_delta(doc: dict, delta, where: str) -> None:
+    """Fold one journal checkpoint-delta record onto a full document.
+
+    The delta's live sections replace the document's; its history
+    entries extend the document's history maps and lists.  A malformed
+    record raises :class:`~repro.errors.JournalError` naming ``where``.
+    """
+    _check_checkpoint(doc)
+    if not isinstance(delta, dict):
+        raise JournalError(f"{where} is not a JSON object")
+    try:
+        _check_section(delta, _DELTA_KEYS, where)
+        _check_section(
+            delta["engine"], _DELTA_ENGINE_KEYS, f"{where} engine section"
+        )
+    except SerializationError as exc:
+        raise JournalError(str(exc)) from None
+    history = delta["history"]
+    unknown = sorted(set(history) - set(_HISTORY_KINDS))
+    if unknown:
+        raise JournalError(f"{where} has unknown history kinds {unknown}")
+    bad = [
+        k for k, v in history.items() if not _entries_ok(v, _HISTORY_KINDS[k])
+    ]
+    if bad:
+        raise JournalError(f"{where} has malformed history entries {bad}")
+    quarantined = []
+    for snap in history.get("quarantined", ()):
+        static = snap.get("static")
+        jid = static.get("job_id") if isinstance(static, dict) else None
+        if type(jid) is not int:
+            raise JournalError(
+                f"{where} has a quarantined job without an integer id"
+            )
+        quarantined.append(jid)
+
+    eng = doc["engine"]
+    for key in _DELTA_ENGINE_KEYS:
+        eng[key] = delta["engine"][key]
+    for key in ("scheduler", "rng", "jobs", "alive", "resubmit", "trace"):
+        doc[key] = delta[key]
+    completion, release = eng["completion"], eng["release"]
+    for jid, t in history.get("completion", ()):
+        completion[str(jid)] = t
+    for jid in history.get("unrelease", ()):
+        release.pop(str(jid), None)
+    for jid, r in history.get("release", ()):
+        release.pop(str(jid), None)
+        release[str(jid)] = r
+    for jid, n in history.get("attempts", ()):
+        eng["attempts"][str(jid)] = n
+    eng["failed_jobs"].extend(history.get("failed", ()))
+    eng["incidents"].extend(history.get("incidents", ()))
+    doc["quarantined"].extend(history.get("quarantined", ()))
+    eng["quarantined_ids"] = sorted(eng["quarantined_ids"] + quarantined)
+    doc["arrived"].extend(history.get("arrived", ()))
 
 
 def engine_class(name: str | None = None) -> "type[Simulator]":
@@ -197,7 +346,7 @@ class _RunState:
     __slots__ = (
         "t",
         "pending",
-        "next_pending",
+        "arrived",
         "alive",
         "completion",
         "release",
@@ -215,12 +364,16 @@ class _RunState:
         "last_caps",
         "incidents",
         "quarantined",
+        "history",
+        "arrived_jobs",
     )
 
     def __init__(self) -> None:
         self.t = 0
+        #: unarrived jobs only, in (release, id) order; arrivals leave it
         self.pending: list[Job] = []
-        self.next_pending = 0
+        #: how many jobs have arrived from ``pending``
+        self.arrived = 0
         self.alive: dict[int, Job] = {}
         self.completion: dict[int, int] = {}
         self.release: dict[int, int] = {}
@@ -241,6 +394,62 @@ class _RunState:
         self.incidents: list[dict] = []
         #: jobs pulled from the live set by the supervisor
         self.quarantined: dict[int, Job] = {}
+        #: running CRC32 over the history events as they happen
+        #: (completions, retries, failures, quarantines, incidents), so
+        #: the step digest covers the history without re-encoding it
+        self.history = 0
+        #: the arrived jobs of a trace-recording run, whose static
+        #: definitions a restored run needs to validate its trace
+        self.arrived_jobs: list[Job] = []
+
+
+def _fold_completions(history: int, t: int, jids: list[int]) -> int:
+    """Fold one step's completions into the history CRC, by job id."""
+    for jid in sorted(jids):
+        history = crc32(b"c%d,%d;" % (jid, t), history)
+    return history
+
+
+def _dict_tail(d: dict, n: int) -> list:
+    """The items of ``d`` after its first ``n``, in insertion order."""
+    return list(islice(reversed(d.items()), len(d) - n))[::-1]
+
+
+class _HistorySince:
+    """The history a run appended since its last journal checkpoint record.
+
+    Lengths of the append-only parts (completion and quarantine maps,
+    failure and incident lists, a traced run's arrived jobs) plus the ids
+    whose release or attempt count changed, in order of last change.
+    Exists only while a journal is attached, so an unjournaled step pays
+    nothing for it.
+    """
+
+    __slots__ = (
+        "completion",
+        "failed",
+        "incidents",
+        "quarantined",
+        "arrived",
+        "release",
+        "attempts",
+    )
+
+    def __init__(self, st: _RunState) -> None:
+        self.mark(st)
+
+    def mark(self, st: _RunState) -> None:
+        self.completion = len(st.completion)
+        self.failed = len(st.failed_jobs)
+        self.incidents = len(st.incidents)
+        self.quarantined = len(st.quarantined)
+        self.arrived = len(st.arrived_jobs)
+        self.release: dict[int, None] = {}
+        self.attempts: dict[int, None] = {}
+
+    def release_changed(self, jid: int) -> None:
+        self.release.pop(jid, None)
+        self.release[jid] = None
 
 
 class Simulator:
@@ -300,10 +509,11 @@ class Simulator:
         every realized step fits.
     journal:
         Optional :class:`~repro.sim.journal.Journal` write-ahead log:
-        run metadata + an immediate checkpoint at start, a digest record
-        per step, a full checkpoint every ``journal.checkpoint_every``
-        steps, and an ``end`` record at completion.  See
-        :meth:`Simulator.recover`.
+        run metadata + an immediate full checkpoint at start, a digest
+        record per step, a checkpoint-delta record (live state plus the
+        history since the previous checkpoint record) every
+        ``journal.checkpoint_every`` steps, and an ``end`` record at
+        completion.  See :meth:`Simulator.recover`.
     max_stall_steps:
         Upper bound on *consecutive* zero-progress steps while jobs are
         live (only reachable under churn / fault models);
@@ -376,6 +586,9 @@ class Simulator:
         self._churn = churn
         self._journal = journal
         self._journal_started = False
+        #: history appended since the last journal checkpoint record
+        #: (None while no journal is attached)
+        self._since: _HistorySince | None = None
         # Observability is read-only telemetry: it never touches the RNG,
         # the scheduler, job state, checkpoints or digests, so results
         # are byte-identical with it on or off (tests/test_obs.py).
@@ -459,21 +672,18 @@ class Simulator:
             self._journal_started = True
             self._journal_put("meta", self._journal_meta())
             self._journal_put("checkpoint", self.checkpoint())
+            self._since = _HistorySince(st)
 
     def _unfinished(self) -> bool:
         st = self._state
-        return (
-            st.next_pending < len(st.pending)
-            or bool(st.alive)
-            or bool(st.resubmit)
-        )
+        return bool(st.pending) or bool(st.alive) or bool(st.resubmit)
 
     def _next_release(self) -> int | None:
         """Earliest release among unarrived pending and resubmitted jobs."""
         st = self._state
         candidates = []
-        if st.next_pending < len(st.pending):
-            candidates.append(st.pending[st.next_pending].release_time)
+        if st.pending:
+            candidates.append(st.pending[0].release_time)
         if st.resubmit:
             candidates.append(st.resubmit[0][0])
         return min(candidates) if candidates else None
@@ -634,15 +844,12 @@ class Simulator:
                 f"current clock {st.t}; online arrivals cannot rewrite "
                 "the past"
             )
-        # Keep the unarrived suffix in the (release, id) order the
-        # pending list was built with, so the arrival scan stays exact.
-        insort(
-            st.pending,
-            job,
-            lo=st.next_pending,
-            key=lambda j: (j.release_time, j.job_id),
-        )
+        # Keep the unarrived jobs in the (release, id) order the pending
+        # list was built with, so the arrival scan stays exact.
+        insort(st.pending, job, key=lambda j: (j.release_time, j.job_id))
         st.release[jid] = job.release_time
+        if self._since is not None:
+            self._since.release_changed(jid)
         self._grow_max_steps(job)
         if self._journal is not None:
             from repro.io.serialize import job_snapshot_to_dict
@@ -674,7 +881,7 @@ class Simulator:
     def cancel_pending(self, job_id: int) -> Job:
         """Withdraw a not-yet-arrived job from a running simulation.
 
-        Only jobs still waiting in the pending suffix can be cancelled —
+        Only jobs still waiting to arrive can be cancelled —
         once a job has arrived (or is retrying after a kill) its
         execution history is part of the run and cannot be unwound.
         Returns the withdrawn job; raises :class:`SimulationError`
@@ -685,10 +892,12 @@ class Simulator:
             raise SimulationError("cannot cancel in a finished run")
         self._ensure_started()
         st = self._state
-        for i in range(st.next_pending, len(st.pending)):
-            if st.pending[i].job_id == job_id:
-                job = st.pending.pop(i)
+        for i, job in enumerate(st.pending):
+            if job.job_id == job_id:
+                del st.pending[i]
                 st.release.pop(job_id, None)
+                if self._since is not None:
+                    self._since.release_changed(job_id)
                 if self._journal is not None:
                     self._journal_put(
                         "cancel", {"t": st.t, "job_id": int(job_id)}
@@ -728,7 +937,7 @@ class Simulator:
             return "failed"
         if any(e[1] == job_id for e in st.resubmit):
             return "retrying"
-        for j in st.pending[st.next_pending :]:
+        for j in st.pending:
             if j.job_id == job_id:
                 return "pending"
         return "unknown"
@@ -743,7 +952,7 @@ class Simulator:
         self._ensure_started()
         st = self._state
         return {
-            "pending": len(st.pending) - st.next_pending + len(st.resubmit),
+            "pending": len(st.pending) + len(st.resubmit),
             "running": len(st.alive),
             "completed": len(st.completion),
             "failed": len(st.failed_jobs),
@@ -762,7 +971,7 @@ class Simulator:
         total = np.zeros(self._machine.num_categories, dtype=np.int64)
         for job in st.alive.values():
             total += job.remaining_work_vector()
-        for job in st.pending[st.next_pending :]:
+        for job in st.pending:
             total += job.work_vector()
         for _r, _jid, job in st.resubmit:
             total += job.work_vector()
@@ -782,7 +991,7 @@ class Simulator:
         worst = 0
         for job in st.alive.values():
             worst = max(worst, int(job.remaining_span()))
-        for job in st.pending[st.next_pending :]:
+        for job in st.pending:
             worst = max(
                 worst, max(0, job.release_time - t) + int(job.span())
             )
@@ -828,13 +1037,16 @@ class Simulator:
                 st.idle_steps += skip_to - t
                 st.t = t = skip_to
 
-        arriving: list[Job] = []
-        while (
-            st.next_pending < len(st.pending)
-            and st.pending[st.next_pending].release_time < t
-        ):
-            arriving.append(st.pending[st.next_pending])
-            st.next_pending += 1
+        pending = st.pending
+        n = 0
+        while n < len(pending) and pending[n].release_time < t:
+            n += 1
+        arriving = pending[:n]
+        if n:
+            del pending[:n]
+            st.arrived += n
+            if st.trace is not None:
+                st.arrived_jobs.extend(arriving)
         while st.resubmit and st.resubmit[0][0] < t:
             arriving.append(heapq.heappop(st.resubmit)[2])
         # Resubmissions merge into arrival order by (release, id), the
@@ -973,6 +1185,7 @@ class Simulator:
                     del st.alive[jid]
         if completions:
             st.makespan = t
+            st.history = _fold_completions(st.history, t, completions)
 
         if obs is not None:
             self._obs_step(
@@ -1007,7 +1220,7 @@ class Simulator:
                 "step", {"t": t, "digest": self.digest()}
             )
             if t % self._journal.checkpoint_every == 0 and self._unfinished():
-                self._journal_put("checkpoint", self.checkpoint())
+                self._journal_put("checkpoint", self._checkpoint_delta())
         if prof is not None:
             prof.lap("bookkeeping")
 
@@ -1076,16 +1289,22 @@ class Simulator:
                     del st.alive[v.job_id]
                     st.quarantined[v.job_id] = job
                     st.release.pop(v.job_id, None)
+                    if self._since is not None:
+                        self._since.release_changed(v.job_id)
+                    st.history = crc32(b"q%d;" % v.job_id, st.history)
                     action = "quarantined"
-            st.incidents.append(
-                Incident(
-                    step=t,
-                    monitor=v.monitor,
-                    message=v.message,
-                    job_id=v.job_id,
-                    category=v.category,
-                    action=action,
-                ).to_dict()
+            incident = Incident(
+                step=t,
+                monitor=v.monitor,
+                message=v.message,
+                job_id=v.job_id,
+                category=v.category,
+                action=action,
+            ).to_dict()
+            st.incidents.append(incident)
+            st.history = crc32(
+                b"i" + json.dumps(incident, sort_keys=True).encode() + b";",
+                st.history,
             )
             if self._obs is not None:
                 self._obs.on_incident(
@@ -1156,12 +1375,17 @@ class Simulator:
                 if self._obs is not None:
                     self._obs.on_job_kill(t, jid)
                 attempt = st.attempts.get(jid, 1)
+                if self._since is not None:
+                    self._since.attempts[jid] = None
                 if (
                     self._retry_policy is not None
                     and self._retry_policy.allows_retry(attempt)
                 ):
                     delay = self._retry_policy.delay(attempt)
                     st.attempts[jid] = attempt + 1
+                    st.history = crc32(
+                        b"r%d,%d;" % (jid, attempt + 1), st.history
+                    )
                     fresh = job.fresh_copy()
                     # released at t+delay-1 => first executable at t+delay
                     fresh.release_time = t + delay - 1
@@ -1176,6 +1400,9 @@ class Simulator:
                     st.attempts.setdefault(jid, 1)
                     st.failed_jobs.append(jid)
                     st.release.pop(jid, None)
+                    if self._since is not None:
+                        self._since.release_changed(jid)
+                    st.history = crc32(b"f%d;" % jid, st.history)
                     if self._obs is not None:
                         self._obs.on_job_failed(t, jid, attempt)
         return failed, killed
@@ -1193,7 +1420,7 @@ class Simulator:
         final_digest = self.digest() if self._journal is not None else None
         self._result = SimulationResult(
             scheduler_name=self._scheduler.name,
-            num_jobs=len(st.pending),
+            num_jobs=st.arrived + len(st.pending),
             capacities=self._machine.capacities,
             makespan=st.makespan,
             completion_times=st.completion,
@@ -1402,9 +1629,12 @@ class Simulator:
 
         Cheap relative to a full checkpoint (no trace, no static job
         definitions) yet covers everything that evolves step to step:
-        clock, counters, RNG, live jobs' runtime state and the
-        scheduler's state.  Journals store one per step; recovery replays
-        and requires every digest to match, proving bit-for-bit resume.
+        clock, counters, RNG, live jobs' runtime state, the scheduler's
+        state and the running ``history`` CRC, which stands in for every
+        completion, retry, failure, quarantine and incident so far — so
+        the cost is O(live jobs), not O(run history).  Journals store one
+        per step; recovery replays and requires every digest to match,
+        proving bit-for-bit resume.
         """
         from repro.sim.journal import state_digest
 
@@ -1413,15 +1643,12 @@ class Simulator:
         return state_digest(
             {
                 "t": st.t,
-                "next_pending": st.next_pending,
+                "arrived": st.arrived,
                 "idle": st.idle_steps,
                 "stall": [st.stall_steps, st.stall_run, st.longest_stall],
                 "makespan": st.makespan,
                 "busy": st.busy.tolist(),
                 "wasted": st.wasted.tolist(),
-                "completion": {str(j): c for j, c in st.completion.items()},
-                "attempts": {str(j): n for j, n in st.attempts.items()},
-                "failed": list(st.failed_jobs),
                 "alive": {
                     str(j): job.remaining_work_vector().tolist()
                     for j, job in st.alive.items()
@@ -1430,8 +1657,7 @@ class Simulator:
                     (r, jid) for r, jid, _job in st.resubmit
                 ),
                 "last_caps": list(st.last_caps),
-                "incidents": st.incidents,
-                "quarantined": sorted(st.quarantined),
+                "history": st.history,
                 "scheduler": self._scheduler.state_dict(),
                 "rng": self._rng.bit_generator.state,
             }
@@ -1468,15 +1694,22 @@ class Simulator:
     def checkpoint(self) -> dict:
         """Serializable snapshot of the full mid-run state.
 
-        Captures engine counters, the scheduler's state, every job's
-        static definition *and* runtime state, the RNG, the resubmission
-        queue and the recorded trace, as plain-JSON data (via
-        :mod:`repro.io.serialize`).  Resuming via :meth:`restore` and
-        running to completion yields a result bitwise-identical to the
+        Captures engine counters and history maps, the scheduler's
+        state, the unarrived jobs' static definitions, the live,
+        resubmitted and quarantined jobs' definitions *and* runtime
+        state, the RNG and the recorded trace, as plain-JSON data (via
+        :mod:`repro.io.serialize`).  Jobs that already finished appear
+        only in the history maps; a trace-recording run also lists every
+        arrived job's static definition (``arrived``), which validating
+        its trace needs.  Resuming via :meth:`restore` and running to
+        completion yields a result bitwise-identical to the
         uninterrupted run.
         """
-        from repro.io.serialize import job_snapshot_to_dict, machine_to_dict
-        from repro.io.trace_io import trace_to_dict
+        from repro.io.serialize import (
+            job_snapshot_to_dict,
+            job_to_dict,
+            machine_to_dict,
+        )
 
         if self._result is not None:
             raise SimulationError(
@@ -1486,10 +1719,47 @@ class Simulator:
         st = self._state
         if self._obs is not None:
             self._obs.on_checkpoint(st.t)
+        live = self._live_sections()
+        live["engine"].update(
+            {
+                "completion": {
+                    str(j): c for j, c in st.completion.items()
+                },
+                "release": {str(j): r for j, r in st.release.items()},
+                "attempts": {str(j): n for j, n in st.attempts.items()},
+                "failed_jobs": list(st.failed_jobs),
+                "max_stall_steps": self._max_stall_steps,
+                "validate": self._validate,
+                "has_fault_model": self._fault_model is not None,
+                "has_churn": self._churn is not None,
+                "has_supervisor": self._supervisor is not None,
+                "incidents": [dict(d) for d in st.incidents],
+                "quarantined_ids": sorted(st.quarantined),
+            }
+        )
         return {
             "format": "checkpoint",
             "version": _CHECKPOINT_VERSION,
             "machine": machine_to_dict(self._machine),
+            **live,
+            "quarantined": [
+                job_snapshot_to_dict(job) for job in st.quarantined.values()
+            ],
+            "arrived": [job_to_dict(j) for j in st.arrived_jobs],
+        }
+
+    def _live_sections(self) -> dict:
+        """The checkpoint sections that hold live state (O(live jobs)).
+
+        Unarrived, live and resubmitted jobs, the scheduler, the RNG,
+        the engine counters (``history`` among them) and the recorded
+        trace — what a journal checkpoint-delta record repeats in full.
+        """
+        from repro.io.serialize import job_snapshot_to_dict
+        from repro.io.trace_io import trace_to_dict
+
+        st = self._state
+        return {
             "scheduler": {
                 "name": self._scheduler.name,
                 "state": self._scheduler.state_dict(),
@@ -1497,7 +1767,7 @@ class Simulator:
             "rng": self._rng.bit_generator.state,
             "engine": {
                 "t": st.t,
-                "next_pending": st.next_pending,
+                "arrived": st.arrived,
                 "idle_steps": st.idle_steps,
                 "stall_steps": st.stall_steps,
                 "stall_run": st.stall_run,
@@ -1505,21 +1775,9 @@ class Simulator:
                 "makespan": st.makespan,
                 "busy": st.busy.tolist(),
                 "wasted": st.wasted.tolist(),
-                "completion": {
-                    str(j): c for j, c in st.completion.items()
-                },
-                "release": {str(j): r for j, r in st.release.items()},
-                "attempts": {str(j): n for j, n in st.attempts.items()},
-                "failed_jobs": list(st.failed_jobs),
                 "max_steps": self._max_steps,
-                "max_stall_steps": self._max_stall_steps,
-                "validate": self._validate,
-                "has_fault_model": self._fault_model is not None,
-                "has_churn": self._churn is not None,
-                "has_supervisor": self._supervisor is not None,
                 "last_caps": list(st.last_caps),
-                "incidents": [dict(d) for d in st.incidents],
-                "quarantined_ids": sorted(st.quarantined),
+                "history": st.history,
             },
             "jobs": [job_snapshot_to_dict(j) for j in st.pending],
             "alive": [
@@ -1531,13 +1789,52 @@ class Simulator:
                     st.resubmit, key=lambda e: (e[0], e[1])
                 )
             ],
-            "quarantined": [
-                job_snapshot_to_dict(st.quarantined[j])
-                for j in sorted(st.quarantined)
-            ],
             "trace": (
                 trace_to_dict(st.trace) if st.trace is not None else None
             ),
+        }
+
+    def _checkpoint_delta(self) -> dict:
+        """A journal checkpoint-delta record: live state + new history.
+
+        The live sections in full, plus what the run appended to its
+        history since the previous checkpoint record: completions,
+        release additions and removals, attempt changes, failures,
+        incidents, quarantined jobs and (trace-recording runs) arrived
+        jobs' static definitions.  Empty kinds are left out.
+        :meth:`recover` folds a chain of these onto the journal's full
+        checkpoint record.
+        """
+        from repro.io.serialize import job_snapshot_to_dict, job_to_dict
+
+        st = self._state
+        since = self._since
+        if self._obs is not None:
+            self._obs.on_checkpoint(st.t)
+        history = {
+            "completion": [
+                [j, c] for j, c in _dict_tail(st.completion, since.completion)
+            ],
+            "release": [
+                [j, st.release[j]] for j in since.release if j in st.release
+            ],
+            "unrelease": [j for j in since.release if j not in st.release],
+            "attempts": [[j, st.attempts[j]] for j in since.attempts],
+            "failed": st.failed_jobs[since.failed :],
+            "incidents": [dict(d) for d in st.incidents[since.incidents :]],
+            "quarantined": [
+                job_snapshot_to_dict(job)
+                for _j, job in _dict_tail(st.quarantined, since.quarantined)
+            ],
+            "arrived": [
+                job_to_dict(j) for j in st.arrived_jobs[since.arrived :]
+            ],
+        }
+        since.mark(st)
+        return {
+            "format": "checkpoint-delta",
+            **self._live_sections(),
+            "history": {kind: v for kind, v in history.items() if v},
         }
 
     @classmethod
@@ -1567,24 +1864,14 @@ class Simulator:
         :class:`~repro.errors.SerializationError` naming the problem.
         """
         from repro.io.serialize import (
+            job_from_dict,
             job_snapshot_from_dict,
             machine_from_dict,
         )
         from repro.io.trace_io import trace_from_dict
 
-        if not isinstance(data, dict) or data.get("format") != "checkpoint":
-            raise SerializationError("expected a checkpoint document")
-        if data.get("version") != _CHECKPOINT_VERSION:
-            raise SerializationError(
-                f"unsupported checkpoint version {data.get('version')!r} "
-                f"(this build reads version {_CHECKPOINT_VERSION})"
-            )
-        _check_section(data, _CHECKPOINT_KEYS, "checkpoint document")
+        _check_checkpoint(data)
         eng = data["engine"]
-        _check_section(eng, _ENGINE_KEYS, "checkpoint engine section")
-        _check_section(
-            data["scheduler"], _SCHEDULER_KEYS, "checkpoint scheduler section"
-        )
         if eng["has_fault_model"] != (fault_model is not None):
             raise SimulationError(
                 "checkpointed run and restore disagree on fault_model "
@@ -1607,10 +1894,13 @@ class Simulator:
             )
         machine = machine_from_dict(data["machine"])
         pending = [job_snapshot_from_dict(d) for d in data["jobs"]]
+        arrived_jobs = [job_from_dict(d) for d in data["arrived"]]
         sim = cls(
             machine,
             scheduler,
-            JobSet(pending, num_categories=machine.num_categories),
+            JobSet(
+                arrived_jobs + pending, num_categories=machine.num_categories
+            ),
             policy=policy,
             record_trace=data["trace"] is not None,
             max_steps=eng["max_steps"],
@@ -1636,7 +1926,9 @@ class Simulator:
         st = _RunState()
         st.t = int(eng["t"])
         st.pending = pending
-        st.next_pending = int(eng["next_pending"])
+        st.arrived = int(eng["arrived"])
+        st.history = int(eng["history"])
+        st.arrived_jobs = arrived_jobs
         st.alive = {}
         for snap in data["alive"]:
             job = job_snapshot_from_dict(snap)
@@ -1685,6 +1977,7 @@ class Simulator:
             sim._journal_started = True
             sim._journal_put("meta", sim._journal_meta())
             sim._journal_put("checkpoint", sim.checkpoint())
+            sim._since = _HistorySince(st)
         return sim
 
     # ------------------------------------------------------------------
@@ -1705,8 +1998,10 @@ class Simulator:
 
         Reads the valid prefix of ``journal_path`` (a torn or corrupt
         tail — the signature of a mid-write crash — is detected by CRC
-        framing and physically truncated), restores the last intact
-        checkpoint, then *replays* every journaled step after it,
+        framing and physically truncated), folds the checkpoint-delta
+        records onto the last full checkpoint record before them,
+        restores the result, then *replays* every journaled step after
+        the last checkpoint record,
         requiring each step's state digest to match the journaled one:
         recovery is verified bit-for-bit, not assumed.  The returned
         simulator keeps appending to the same journal, so a
@@ -1720,7 +2015,9 @@ class Simulator:
 
         Raises :class:`~repro.errors.JournalError` on an unreadable or
         headerless journal, on a journal whose ``end`` record shows the
-        run already completed, and on replay divergence.
+        run already completed, on a malformed checkpoint-delta record or
+        one with no full checkpoint record before it, and on replay
+        divergence.
         """
         from repro.jobs.policies import policy_by_name
         from repro.schedulers import scheduler_by_name
@@ -1759,6 +2056,22 @@ class Simulator:
                 "disk — re-run from scratch"
             )
         ckpt_idx = checkpoints[-1]
+        full = [i for i in checkpoints if not _is_delta(records[i].data)]
+        if not full:
+            raise JournalError(
+                f"{journal_path!r}: checkpoint record seq "
+                f"{records[checkpoints[0]].seq} is a delta with no full "
+                "checkpoint record before it"
+            )
+        doc = records[full[-1]].data
+        for i in checkpoints:
+            if i > full[-1]:
+                _fold_delta(
+                    doc,
+                    records[i].data,
+                    f"{journal_path!r} checkpoint record seq "
+                    f"{records[i].seq}",
+                )
 
         if meta.get("has_fault_model") and fault_model is None:
             raise JournalError(
@@ -1790,7 +2103,7 @@ class Simulator:
         )
 
         sim = cls.restore(
-            records[ckpt_idx].data,
+            doc,
             scheduler,
             policy=policy,
             on_step=on_step,
@@ -1813,6 +2126,8 @@ class Simulator:
         # reproduced.
         from repro.io.serialize import job_snapshot_from_dict
 
+        # The replayed steps' history belongs in the next delta record.
+        sim._since = _HistorySince(sim._state)
         for rec in records[ckpt_idx + 1 :]:
             if rec.type == "submit":
                 sim.inject_job(job_snapshot_from_dict(rec.data["job"]))

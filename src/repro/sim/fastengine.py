@@ -55,7 +55,7 @@ from repro.errors import ScheduleError
 from repro.jobs.base import Job
 from repro.jobs.phase_job import PhaseJob
 from repro.schedulers.krad import KRad
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _fold_completions
 
 __all__ = ["FastSimulator"]
 
@@ -382,6 +382,7 @@ class FastSimulator(Simulator):
         )
         if completions:
             st.makespan = t
+            st.history = _fold_completions(st.history, t, completions)
 
         if obs is not None:
             realloc = self._obs_realloc_matrix(A)

@@ -2,27 +2,39 @@
 
 A :class:`Journal` is an append-only JSONL file that makes a long
 simulation survivable: every record is framed with a sequence number and a
-CRC32 over its canonical payload, each write is flushed and fsync'd, and
-readers stop at the first record that fails framing — a torn tail from a
-mid-write crash is *detected and truncated*, never silently parsed.
+CRC32 over its canonical payload, each write is flushed, and readers stop
+at the first record that fails framing — a torn tail from a mid-write
+crash is *detected and truncated*, never silently parsed.
 
 Record stream of one run::
 
     meta        run header: scheduler name, machine, feature flags,
                 churn schedule (capacity faults included) and supervisor
                 spec (both plain data)
-    checkpoint  full Simulator.checkpoint() payload (at start, then every
-                ``checkpoint_every`` steps)
-    step        per-step delta: {"t": ..., "digest": ...} where the digest
-                is a CRC of the engine's post-step state
+    checkpoint  the first is the full Simulator.checkpoint() document;
+                every later one (each ``checkpoint_every`` steps) is a
+                ``checkpoint-delta``: the live state in full plus the
+                history appended since the previous checkpoint record,
+                so its size is O(live jobs), not O(run history)
+    submit      one online arrival (job snapshot + opaque meta)
+    cancel      one withdrawn pending job
+    step        per-step record: {"t": ..., "digest": ...} where the
+                digest is a CRC of the engine's post-step state
     end         final digest + makespan (a journal without one is a crash)
 
+Only the records that make a promise are fsync'd: ``meta``,
+``checkpoint``, ``submit``, ``cancel`` and ``end``.  A ``step`` record is
+written and flushed, and the next fsync makes it durable too, since fsync
+covers the whole file.  A submission is therefore on disk before it is
+acknowledged, and a power cut loses at most the unacknowledged steps since
+the last fsync, which recovery re-executes.
+
 Recovery (:meth:`repro.sim.engine.Simulator.recover`) replays the journal:
-restore the last intact checkpoint, re-execute forward comparing each
-step's digest against the journaled one (divergence raises
-:class:`~repro.errors.JournalError` — the run is *verified* bit-for-bit,
-not assumed), truncate any torn tail, and keep appending to the same file
-so a resumed run leaves one continuous journal.
+fold the checkpoint-delta records onto the last full checkpoint, restore
+it, re-execute forward comparing each step's digest against the journaled
+one (divergence raises :class:`~repro.errors.JournalError` — the run is
+*verified* bit-for-bit, not assumed), truncate any torn tail, and keep
+appending to the same file so a resumed run leaves one continuous journal.
 """
 
 from __future__ import annotations
@@ -38,9 +50,14 @@ from repro.errors import JournalError
 
 __all__ = ["Journal", "JournalRecord", "read_journal", "state_digest"]
 
-#: version 2 records capacity faults in the ``churn`` meta field; a
-#: version-1 journal of an outage run would otherwise resume without it
-JOURNAL_VERSION = 2
+#: version 3 writes every checkpoint record after the first as a
+#: checkpoint-delta, and its step digests cover a history CRC instead of
+#: the history maps; a version-2 journal's records read differently
+JOURNAL_VERSION = 3
+
+#: record types fsync'd on append: the ones an acknowledgement or a
+#: recovery depends on (``step`` records ride on the next fsync)
+_DURABLE_TYPES = frozenset({"meta", "checkpoint", "submit", "cancel", "end"})
 
 logger = logging.getLogger("repro.sim.journal")
 
@@ -67,7 +84,7 @@ class JournalRecord:
 
 
 class Journal:
-    """Append-only, CRC-framed, fsync'd JSONL journal writer.
+    """Append-only, CRC-framed JSONL journal writer.
 
     Parameters
     ----------
@@ -75,11 +92,14 @@ class Journal:
         Journal file.  Created on first append; reopened in append mode
         when resuming (see ``start_seq``).
     checkpoint_every:
-        The engine writes a full checkpoint record every this many steps
-        (>= 1).  Smaller values bound replay work after a crash at the
-        cost of journal size.
+        The engine writes a checkpoint record every this many steps
+        (>= 1): the first a full document, the rest deltas.  Smaller
+        values bound replay work after a crash at the cost of journal
+        size.
     fsync:
-        Fsync after every record (default).  Disable only for runs whose
+        Fsync after every ``meta``, ``checkpoint``, ``submit``,
+        ``cancel`` and ``end`` record (default); ``step`` records become
+        durable with the next of those.  Disable only for runs whose
         journal is merely diagnostic — a non-fsync'd journal can lose an
         arbitrary suffix on power failure.
     start_seq:
@@ -103,9 +123,11 @@ class Journal:
         self._fsync = bool(fsync)
         self._seq = int(start_seq)
         self._fh = None
-        #: wall-clock seconds the most recent append took (write + fsync)
+        #: wall-clock seconds the most recent durable append took
+        #: (write + fsync)
         self.last_append_s = 0.0
-        #: EWMA of append latency — the service's journal-health signal
+        #: EWMA of durable-append latency — the service's journal-health
+        #: signal (step records are not sampled: they skip the fsync)
         self.append_latency_s = 0.0
 
     # ------------------------------------------------------------------
@@ -114,20 +136,31 @@ class Journal:
         return self._seq
 
     def append(self, rtype: str, data: Any) -> int:
-        """Write one framed record; returns its sequence number."""
+        """Write one framed record; returns its sequence number.
+
+        The payload is encoded once: the frame CRC covers
+        ``[seq,"type",<payload>]``, byte-identical to what
+        :func:`_frame_crc` recomputes on read, and the line embeds the
+        same payload text.
+        """
         if self._fh is None:
             self._fh = open(self.path, "ab")
         self._seq += 1
-        record = {
-            "seq": self._seq,
-            "type": rtype,
-            "crc": _frame_crc(self._seq, rtype, data),
-            "data": data,
-        }
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        seq = self._seq
+        payload = json.dumps(
+            data, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        head = json.dumps(rtype).encode("utf-8")
+        crc = zlib.crc32(payload + b"]", zlib.crc32(b"[%d,%s," % (seq, head)))
         started = time.perf_counter()
-        self._fh.write(line.encode("utf-8"))
+        self._fh.write(
+            b'{"seq":%d,"type":%s,"crc":%d,"data":' % (seq, head, crc)
+            + payload
+            + b"}\n"
+        )
         self._fh.flush()
+        if rtype not in _DURABLE_TYPES:
+            return seq
         if self._fsync:
             os.fsync(self._fh.fileno())
         self.last_append_s = time.perf_counter() - started
@@ -136,7 +169,7 @@ class Journal:
         self.append_latency_s = (
             0.8 * self.append_latency_s + 0.2 * self.last_append_s
         )
-        return self._seq
+        return seq
 
     def close(self) -> None:
         if self._fh is not None:

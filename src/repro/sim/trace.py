@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 

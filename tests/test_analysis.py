@@ -1,6 +1,5 @@
 """Unit tests for the analysis package (tables, stats, sweeps, competitive)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -16,7 +15,6 @@ from repro.analysis import (
 )
 from repro.errors import ReproError
 from repro.jobs import workloads
-from repro.machine import KResourceMachine
 from repro.schedulers import Equi, KRad
 
 

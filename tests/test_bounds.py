@@ -1,6 +1,5 @@
 """Unit tests for lower bounds and competitive-ratio closed forms."""
 
-import numpy as np
 import pytest
 
 from repro.dag import builders

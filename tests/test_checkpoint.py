@@ -16,7 +16,7 @@ from repro.jobs import workloads
 from repro.jobs.policies import RandomOrder
 from repro.machine import KResourceMachine
 from repro.schedulers import GreedyFcfs, KRad, KRoundRobin, Setf
-from repro.sim import RetryPolicy, Simulator
+from repro.sim import ENGINE_NAMES, RetryPolicy, Simulator, engine_class
 from repro.sim.faults import JobKiller, TaskFailures, periodic_outage
 
 
@@ -322,3 +322,84 @@ class TestGuards:
         r = sim.run_until(10_000)
         assert r is not None
         assert sim.run_until(10_000) is r
+
+
+class TestResumedCheckpoints:
+    """A run resumed from a checkpoint takes the same later checkpoints
+    as the uninterrupted run, not just the same digests."""
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_resumed_run_checkpoints_match(self, engine):
+        cls = engine_class(engine)
+        machine = KResourceMachine((4, 4))
+        js = workloads.random_phase_jobset(
+            np.random.default_rng(3), 2, 12, max_phases=3, max_work=16
+        )
+        whole = cls(machine, KRad(), js.fresh_copy())
+        assert whole.run_until(5) is None
+        resumed = cls.restore(whole.checkpoint(), KRad())
+        for t in (6, 8, 10):
+            assert whole.run_until(t) is None
+            assert resumed.run_until(t) is None
+            assert resumed.checkpoint() == whole.checkpoint()
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_resumed_faulty_run_checkpoints_match(self, rng, engine):
+        """Kills, retries and permanent failures fill the history maps."""
+        cls = engine_class(engine)
+        machine = KResourceMachine((4, 2))
+        js = _make_jobset(rng)
+        policy = RetryPolicy(max_attempts=2, base_delay=2)
+
+        def hooks():
+            return {
+                "fault_model": JobKiller(0.15, seed=9),
+                "retry_policy": policy,
+            }
+
+        whole = cls(machine, KRad(), js.fresh_copy(), **hooks())
+        assert whole.run_until(4) is None
+        resumed = cls.restore(whole.checkpoint(), KRad(), **hooks())
+        for t in (8, 10, 12):
+            assert whole.run_until(t) is None
+            assert resumed.run_until(t) is None
+            snap = whole.checkpoint()
+            assert resumed.checkpoint() == snap
+        assert snap["engine"]["attempts"]  # kills happened
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_restored_traced_dag_run_validates(self, rng, engine):
+        """Jobs that arrived before the checkpoint are in the trace, so a
+        restored trace-recording run must still know their definitions."""
+        cls = engine_class(engine)
+        machine = KResourceMachine((4, 2))
+        js = _make_jobset(rng)
+        sim = cls(machine, KRad(), js.fresh_copy(), record_trace=True)
+        assert sim.run_until(8) is None
+        snap = sim.checkpoint()
+        assert snap["engine"]["completion"] or snap["alive"]
+        resumed = cls.restore(snap, KRad())
+        _assert_identical(resumed.run(validate=True), sim.run())
+
+    def test_checkpoint_lists_only_unarrived_jobs(self, rng):
+        machine = KResourceMachine((4, 2))
+        js = _make_jobset(rng)
+        sim = Simulator(machine, KRad(), js.fresh_copy())
+        assert sim.run_until(6) is None
+        snap = sim.checkpoint()
+        unarrived = [d["static"]["job_id"] for d in snap["jobs"]]
+        assert unarrived == [5]  # released at 11; the rest arrived
+        assert snap["engine"]["arrived"] == 5
+        assert snap["arrived"] == []  # no trace, no definitions kept
+
+
+class TestCheckpointVersion:
+    def test_version_3_checkpoint_rejected(self, rng):
+        machine = KResourceMachine((2,))
+        js = workloads.random_dag_jobset(rng, 1, 2, size_hint=6)
+        sim = Simulator(machine, KRad(), js.fresh_copy())
+        sim.run_until(1)
+        snap = sim.checkpoint()
+        snap["version"] = 3
+        with pytest.raises(SerializationError, match="version 3"):
+            Simulator.restore(snap, scheduler=KRad())

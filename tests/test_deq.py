@@ -1,6 +1,5 @@
 """Unit and property tests for the DEQ allocation procedure."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -6,7 +6,6 @@ offer without an external oracle.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

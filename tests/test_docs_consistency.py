@@ -103,7 +103,6 @@ class TestBenchCoverage:
             if f.endswith(".py")
         )
         # each registered driver module must be exercised by some bench
-        import repro.experiments as exps
 
         for key, fn in REGISTRY.items():
             module = fn.__module__.rsplit(".", 1)[-1]

@@ -5,9 +5,8 @@ import pytest
 
 from repro.dag import builders
 from repro.errors import ScheduleError, SimulationError
-from repro.jobs import DagJob, JobSet, Phase, PhaseJob
-from repro.machine import KResourceMachine
-from repro.schedulers import GreedyFcfs, KRad
+from repro.jobs import JobSet, Phase, PhaseJob
+from repro.schedulers import KRad
 from repro.schedulers.base import Scheduler
 from repro.sim import Simulator, simulate
 

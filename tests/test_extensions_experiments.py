@@ -1,7 +1,5 @@
 """Integration tests for the extension experiment drivers."""
 
-import pytest
-
 from repro.experiments import REGISTRY, run_experiment
 from repro.experiments import exp_ablation, exp_feedback, exp_randomized, exp_speeds
 

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ReproError
 from repro.feedback import AGreedyEstimator, FeedbackKRad
 from repro.jobs import workloads
-from repro.machine import KResourceMachine
 from repro.schedulers import KRad, check_allotments
 from repro.sim import simulate, validate_schedule
 from repro.theory import check_makespan_bound

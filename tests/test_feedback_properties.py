@@ -1,7 +1,5 @@
 """Property tests for the A-GREEDY estimator invariants."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -14,7 +14,9 @@ from repro.machine import KResourceMachine
 from repro.machine.churn import ChurnEvent, ChurnSchedule
 from repro.schedulers import KRad
 from repro.sim import (
+    ENGINE_NAMES,
     Journal,
+    RetryPolicy,
     ScriptedViolation,
     Simulator,
     Supervisor,
@@ -23,7 +25,12 @@ from repro.sim import (
     read_journal,
     state_digest,
 )
-from repro.sim.faults import RandomDegradation, TaskFailures, periodic_outage
+from repro.sim.faults import (
+    JobKiller,
+    RandomDegradation,
+    TaskFailures,
+    periodic_outage,
+)
 
 #: capacity faults are churn, so the journal alone rebuilds them
 CAPACITY_FAULTS = {
@@ -458,3 +465,272 @@ class TestRecoveryGuards:
         open(path, "wb").write(b"".join(fixed))
         with pytest.raises(JournalError, match="diverged"):
             Simulator.recover(path, fsync=False)
+
+
+def _rewrite(path, mutate):
+    """Rewrite every record through ``mutate(doc)`` with a valid CRC."""
+    from repro.sim.journal import _frame_crc
+
+    lines = []
+    for line in open(path, "rb").read().splitlines():
+        doc = json.loads(line)
+        mutate(doc)
+        doc["crc"] = _frame_crc(doc["seq"], doc["type"], doc["data"])
+        lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
+    open(path, "w").write("".join(lines))
+
+
+class TestDeltaCheckpoints:
+    """Checkpoint records after the first carry live state plus the
+    history appended since the previous record; recovery folds them."""
+
+    def _faulty_sim(self, cls, machine2, js, journal=None):
+        return cls(
+            machine2,
+            KRad(),
+            js.fresh_copy(),
+            seed=0,
+            fault_model=JobKiller(0.12, seed=5),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=2),
+            supervisor=Supervisor(
+                default_monitors() + [ScriptedViolation(step=6, job_id=3)],
+                mode="resilient",
+            ),
+            journal=journal,
+        )
+
+    def _crashed(self, rng, machine2, tmp_path, engine="reference", stop=9):
+        js = _make_js(rng)
+        path = str(tmp_path / "run.journal")
+        sim = self._faulty_sim(
+            engine_class(engine),
+            machine2,
+            js,
+            Journal(path, checkpoint_every=2, fsync=False),
+        )
+        assert sim.run_until(stop) is None
+        sim._journal.close()
+        return js, path
+
+    def test_first_checkpoint_full_later_ones_deltas(
+        self, rng, machine2, tmp_path
+    ):
+        js, path = self._crashed(rng, machine2, tmp_path)
+        records, _, _ = read_journal(path)
+        ckpts = [r.data for r in records if r.type == "checkpoint"]
+        assert len(ckpts) >= 3
+        assert ckpts[0]["format"] == "checkpoint"
+        assert all(c["format"] == "checkpoint-delta" for c in ckpts[1:])
+        # a delta repeats no history: no completion map, no job that
+        # already left the run
+        for c in ckpts[1:]:
+            assert "completion" not in c["engine"]
+            gone = {j for j, _t in c["history"].get("completion", [])}
+            assert not gone & {a["static"]["job_id"] for a in c["alive"]}
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_folded_deltas_equal_checkpoint(
+        self, rng, machine2, tmp_path, engine
+    ):
+        """Folding every record onto the first reproduces the full
+        ``checkpoint()`` of an uninterrupted run at the same step."""
+        from repro.sim.engine import _fold_delta
+
+        js, path = self._crashed(rng, machine2, tmp_path, engine)
+        records, _, _ = read_journal(path)
+        ckpts = [r for r in records if r.type == "checkpoint"]
+        doc = ckpts[0].data
+        for rec in ckpts[1:]:
+            _fold_delta(doc, rec.data, f"seq {rec.seq}")
+        whole = self._faulty_sim(engine_class(engine), machine2, js)
+        assert whole.run_until(doc["engine"]["t"]) is None
+        expected = whole.checkpoint()
+        assert expected["engine"]["attempts"]  # kills happened
+        assert expected["engine"]["incidents"]  # the scripted violation
+        assert doc == expected
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("stop", [3, 6, 9, 14])
+    def test_recover_through_deltas_identical(
+        self, rng, machine2, tmp_path, engine, stop
+    ):
+        js, path = self._crashed(rng, machine2, tmp_path, engine, stop)
+        cls = engine_class(engine)
+        ref = self._faulty_sim(cls, machine2, js).run()
+        r = cls.recover(
+            path,
+            fault_model=JobKiller(0.12, seed=5),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=2),
+            fsync=False,
+        ).run()
+        _assert_identical(r, ref)
+        assert r.retries == ref.retries
+        assert r.failed_jobs == ref.failed_jobs
+        assert r.quarantined_jobs == ref.quarantined_jobs
+        assert r.release_times == ref.release_times
+
+    def test_traced_run_recovers_and_validates(self, rng, machine2, tmp_path):
+        js = _make_js(rng)
+        path = str(tmp_path / "run.journal")
+        sim = Simulator(
+            machine2,
+            KRad(),
+            js.fresh_copy(),
+            record_trace=True,
+            journal=Journal(path, checkpoint_every=3, fsync=False),
+        )
+        assert sim.run_until(10) is None
+        sim._journal.close()
+        records, _, _ = read_journal(path)
+        last = [r.data for r in records if r.type == "checkpoint"][-1]
+        assert last["format"] == "checkpoint-delta"
+        assert last["trace"] is not None  # whole trace, as before
+        ref = Simulator(
+            machine2, KRad(), js.fresh_copy(), record_trace=True
+        ).run()
+        _assert_identical(Simulator.recover(path).run(validate=True), ref)
+
+
+class TestMalformedDeltas:
+    """A malformed checkpoint-delta record is a typed JournalError naming
+    the record, never a KeyError."""
+
+    def _journal(self, rng, machine2, tmp_path):
+        path = str(tmp_path / "run.journal")
+        sim = Simulator(
+            machine2,
+            KRad(),
+            _make_js(rng).fresh_copy(),
+            journal=Journal(path, checkpoint_every=2, fsync=False),
+        )
+        assert sim.run_until(7) is None
+        sim._journal.close()
+        return path
+
+    def _corrupt_delta(self, path, corrupt):
+        def mutate(doc):
+            if doc["data"].get("format") == "checkpoint-delta":
+                corrupt(doc["data"])
+
+        _rewrite(path, mutate)
+
+    def test_missing_section(self, rng, machine2, tmp_path):
+        path = self._journal(rng, machine2, tmp_path)
+        self._corrupt_delta(path, lambda d: d.pop("alive"))
+        with pytest.raises(JournalError, match=r"seq \d+.*alive"):
+            Simulator.recover(path)
+
+    def test_unknown_event_kind(self, rng, machine2, tmp_path):
+        path = self._journal(rng, machine2, tmp_path)
+        self._corrupt_delta(
+            path, lambda d: d["history"].update(evicted=[[1, 2]])
+        )
+        with pytest.raises(JournalError, match=r"seq \d+.*evicted"):
+            Simulator.recover(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["engine"].update(t="7"),
+            lambda d: d["history"].update(completion=[["0", 3]]),
+            lambda d: d["history"].update(failed=[1.5]),
+        ],
+        ids=["engine-counter", "history-pair", "history-id"],
+    )
+    def test_non_integer_field(self, rng, machine2, tmp_path, corrupt):
+        path = self._journal(rng, machine2, tmp_path)
+        self._corrupt_delta(path, corrupt)
+        with pytest.raises(JournalError, match=r"seq \d+"):
+            Simulator.recover(path)
+
+    def test_delta_without_full_record(self, rng, machine2, tmp_path):
+        path = self._journal(rng, machine2, tmp_path)
+        records, _, _ = read_journal(path)
+        delta = [
+            r.data for r in records if r.type == "checkpoint"
+        ][-1]
+
+        def mutate(doc):
+            if doc["data"].get("format") == "checkpoint":
+                doc["data"] = delta
+
+        _rewrite(path, mutate)
+        with pytest.raises(JournalError, match="no full checkpoint"):
+            Simulator.recover(path)
+
+
+class TestDurability:
+    def test_old_journal_version_rejected(self, rng, machine2, tmp_path):
+        path = str(tmp_path / "run.journal")
+        sim = Simulator(
+            machine2,
+            KRad(),
+            _make_js(rng).fresh_copy(),
+            journal=Journal(path, fsync=False),
+        )
+        assert sim.run_until(3) is None
+        sim._journal.close()
+
+        def mutate(doc):
+            if doc["type"] == "meta":
+                doc["data"]["version"] = 2
+
+        _rewrite(path, mutate)
+        with pytest.raises(JournalError, match="journal version 2"):
+            Simulator.recover(path)
+
+    def test_only_promise_records_fsynced(
+        self, rng, machine2, tmp_path, monkeypatch
+    ):
+        """Step records ride on the next fsync; every other record type
+        is fsync'd before ``append`` returns."""
+        import types
+
+        from repro.sim import journal as journal_mod
+
+        synced = []
+        fake_os = types.SimpleNamespace(
+            **{**vars(os), "fsync": lambda fd: synced.append(fd)}
+        )
+        monkeypatch.setattr(journal_mod, "os", fake_os)
+        path = str(tmp_path / "run.journal")
+        j = Journal(path, checkpoint_every=3)
+        sim = Simulator(
+            machine2, KRad(), _make_js(rng).fresh_copy(), journal=j
+        )
+        assert sim.run_until(4) is None
+        extra = _make_js(np.random.default_rng(1), n=1).jobs[0]
+        for jid in (98, 99):
+            job = extra.fresh_copy()
+            job.job_id = jid
+            sim.inject_job(job, release_time=sim.clock + 2)
+        sim.cancel_pending(99)
+        sim.run()
+        written = [r.type for r in read_journal(path)[0]]
+        assert {"step", "submit", "cancel", "end"} <= set(written)
+        assert len(synced) == sum(t != "step" for t in written)
+
+    def test_latency_samples_only_durable_appends(self, tmp_path):
+        j = Journal(str(tmp_path / "run.journal"), fsync=False)
+        j.append("meta", {"version": 3})
+        sampled = j.last_append_s
+        for t in range(1, 20):
+            j.append("step", {"t": t, "digest": t})
+        assert j.last_append_s == sampled
+        j.append("submit", {"t": 19})
+        assert j.last_append_s != sampled
+        j.close()
+
+    def test_frame_crc_matches_reader(self, tmp_path):
+        """Appends encode each payload once; the frame stays exactly
+        what the reader recomputes, whatever the key order."""
+        from repro.sim.journal import _frame_crc
+
+        path = str(tmp_path / "run.journal")
+        j = Journal(path, fsync=False)
+        data = {"b": [1, {"z": "é", "a": None}], "a": 2.5}
+        j.append("checkpoint", data)
+        j.close()
+        doc = json.loads(open(path).read())
+        assert doc["crc"] == _frame_crc(1, "checkpoint", data)
+        assert doc["data"] == data

@@ -1,6 +1,5 @@
 """Unit tests for the KDag container."""
 
-import numpy as np
 import pytest
 
 from repro.dag import KDag

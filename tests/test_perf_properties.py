@@ -1,7 +1,6 @@
 """Property-based tests for the engine on machines with speeds."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

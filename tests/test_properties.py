@@ -11,11 +11,10 @@ simulator and asserts, for every generated instance:
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.jobs import CP_FIRST, CP_LAST, FIFO, LIFO, JobSet, workloads
+from repro.jobs import workloads
 from repro.machine import KResourceMachine
 from repro.schedulers import Equi, GreedyFcfs, KDeq, KRad, KRoundRobin
 from repro.sim import simulate, validate_schedule

@@ -1,7 +1,5 @@
 """Unit tests for the RAD per-category state machine (Figure 2 semantics)."""
 
-import pytest
-
 from repro.schedulers.rad import RadCategoryState
 
 

@@ -1,7 +1,6 @@
 """Unit tests for RandomizedKRad."""
 
 import numpy as np
-import pytest
 
 from repro.dag.lowerbound import figure3_instance
 from repro.jobs import CP_LAST, JobSet, workloads

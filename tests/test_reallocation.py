@@ -1,7 +1,6 @@
 """Tests for the reallocation-churn metric."""
 
 import numpy as np
-import pytest
 
 from repro.dag import builders
 from repro.jobs import JobSet, workloads

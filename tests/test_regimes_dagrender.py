@@ -1,8 +1,5 @@
 """Tests for regime classification and the DAG renderer."""
 
-import numpy as np
-import pytest
-
 from repro.dag import KDag, builders
 from repro.jobs import workloads
 from repro.machine import KResourceMachine

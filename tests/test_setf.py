@@ -1,12 +1,10 @@
 """Tests for the SETF (least-service-first) scheduler."""
 
 import numpy as np
-import pytest
 
-from repro.dag import builders
-from repro.jobs import JobSet, workloads
+from repro.jobs import workloads
 from repro.machine import KResourceMachine
-from repro.schedulers import GreedyFcfs, KRad, Setf, check_allotments
+from repro.schedulers import GreedyFcfs, Setf, check_allotments
 from repro.sim import simulate, validate_schedule
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dag import KDag, builders
+from repro.dag import builders
 from repro.errors import ReproError, ScheduleError
-from repro.jobs import CP_FIRST, DagJob, JobSet, workloads
+from repro.jobs import CP_FIRST, DagJob, workloads
 from repro.machine import KResourceMachine
 from repro.perf import SpeedAwareClairvoyant
 from repro.sim import simulate

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dag import builders
 from repro.jobs import JobSet, Phase, PhaseJob, workloads
 from repro.machine import KResourceMachine
 from repro.schedulers import (

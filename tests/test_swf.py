@@ -1,6 +1,5 @@
 """Tests for the SWF (Standard Workload Format) bridge."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError

@@ -1,12 +1,10 @@
 """Unit tests for traces and the schedule validity checker."""
 
-import numpy as np
 import pytest
 
 from repro.dag import builders
 from repro.errors import ValidationError
 from repro.jobs import JobSet
-from repro.machine import KResourceMachine
 from repro.schedulers import KRad
 from repro.sim import simulate, validate_schedule
 from repro.sim.trace import StepRecord, Trace

@@ -1,6 +1,5 @@
 """Unit tests for the bound-verification helpers."""
 
-import numpy as np
 import pytest
 
 from repro.dag import builders

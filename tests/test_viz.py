@@ -1,10 +1,7 @@
 """Unit tests for ASCII visualisation."""
 
-import numpy as np
-
 from repro.dag import builders
 from repro.jobs import JobSet
-from repro.machine import KResourceMachine
 from repro.schedulers import KRad
 from repro.sim import simulate
 from repro.sim.trace import Trace
