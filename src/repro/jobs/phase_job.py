@@ -79,6 +79,7 @@ class PhaseJob(Job):
         "_work_vector",
         "_span",
         "_suffix_span",
+        "_suffix_work",
         "_executed_counter",
         "_last_phase_idx",
     )
@@ -95,7 +96,14 @@ class PhaseJob(Job):
         self._phases = tuple(phases)
         self._phase_idx = 0
         self._remaining = self._phases[0].work.copy()
-        self._work_vector = np.sum([ph.work for ph in self._phases], axis=0)
+        # suffix_work[i] = total work of phases i.. (row m is zeros), so
+        # remaining_work_vector is one addition
+        suffix_work = np.zeros((len(self._phases) + 1, k), dtype=np.int64)
+        suffix_work[-2::-1] = np.cumsum(
+            [ph.work for ph in reversed(self._phases)], axis=0
+        )
+        self._suffix_work = suffix_work
+        self._work_vector = suffix_work[0]
         # suffix_span[i] = total span of phases i.. (for remaining_span)
         spans = [ph.span() for ph in self._phases]
         suffix = np.zeros(len(spans) + 1, dtype=np.int64)
@@ -221,15 +229,9 @@ class PhaseJob(Job):
         return self._span
 
     def remaining_work_vector(self) -> np.ndarray:
-        future = self._suffix_work(self._phase_idx + 1)
         if self.is_complete:
             return np.zeros_like(self._work_vector)
-        return self._remaining + future
-
-    def _suffix_work(self, start: int) -> np.ndarray:
-        if start >= len(self._phases):
-            return np.zeros_like(self._work_vector)
-        return np.sum([ph.work for ph in self._phases[start:]], axis=0)
+        return self._remaining + self._suffix_work[self._phase_idx + 1]
 
     def remaining_span(self) -> int:
         if self.is_complete:

@@ -53,7 +53,7 @@ from repro.service.resilience import (
     service_state_code,
 )
 from repro.sim.engine import engine_class
-from repro.sim.journal import Journal, read_journal
+from repro.sim.journal import Journal
 
 __all__ = ["SchedulingService", "ServiceConfig"]
 
@@ -682,7 +682,9 @@ class SchedulingService:
                 "recover needs config.journal_path pointing at the "
                 "crashed service's journal"
             )
-        sim = engine_class(config.engine).recover(
+        # The engine has read and CRC-checked every record; the service
+        # maps come from the same records, not from a second parse.
+        sim, records = engine_class(config.engine)._recover(
             config.journal_path,
             fault_model=fault_model,
             retry_policy=retry_policy,
@@ -690,7 +692,6 @@ class SchedulingService:
             obs=obs,
         )
         svc = cls(config, obs=sim._obs, _sim=sim)
-        records, _bytes, _clean = read_journal(config.journal_path)
         for rec in records:
             if rec.type == "submit":
                 static = rec.data["job"]["static"]

@@ -1216,11 +1216,7 @@ class Simulator:
             )
 
         if self._journal is not None:
-            self._journal_put(
-                "step", {"t": t, "digest": self.digest()}
-            )
-            if t % self._journal.checkpoint_every == 0 and self._unfinished():
-                self._journal_put("checkpoint", self._checkpoint_delta())
+            self._journal_step(t)
         if prof is not None:
             prof.lap("bookkeeping")
 
@@ -1458,6 +1454,17 @@ class Simulator:
             self._journal.close()
         return self._result
 
+    def _journal_step(self, t: int) -> None:
+        """The journal tail of unit step ``t``, shared by every kernel.
+
+        One ``step`` record with the post-step digest, and a
+        checkpoint-delta record every ``checkpoint_every`` steps while
+        work remains.
+        """
+        self._journal_put("step", {"t": t, "digest": self.digest()})
+        if t % self._journal.checkpoint_every == 0 and self._unfinished():
+            self._journal_put("checkpoint", self._checkpoint_delta())
+
     # ------------------------------------------------------------------
     # observability (read-only telemetry; see repro.obs)
     # ------------------------------------------------------------------
@@ -1649,10 +1656,7 @@ class Simulator:
                 "makespan": st.makespan,
                 "busy": st.busy.tolist(),
                 "wasted": st.wasted.tolist(),
-                "alive": {
-                    str(j): job.remaining_work_vector().tolist()
-                    for j, job in st.alive.items()
-                },
+                "alive": self._live_remaining(),
                 "resubmit": sorted(
                     (r, jid) for r, jid, _job in st.resubmit
                 ),
@@ -1662,6 +1666,14 @@ class Simulator:
                 "rng": self._rng.bit_generator.state,
             }
         )
+
+    def _live_remaining(self) -> dict[str, list[int]]:
+        """Each live job's remaining work vector, keyed by ``str(id)``:
+        the digest's view of live job state."""
+        return {
+            str(j): job.remaining_work_vector().tolist()
+            for j, job in self._state.alive.items()
+        }
 
     def _journal_meta(self) -> dict:
         """The journal's run header (enough to rebuild hooks on recovery)."""
@@ -2019,6 +2031,32 @@ class Simulator:
         one with no full checkpoint record before it, and on replay
         divergence.
         """
+        return cls._recover(
+            journal_path,
+            scheduler=scheduler,
+            policy=policy,
+            on_step=on_step,
+            fault_model=fault_model,
+            retry_policy=retry_policy,
+            fsync=fsync,
+            obs=obs,
+        )[0]
+
+    @classmethod
+    def _recover(
+        cls,
+        journal_path: str,
+        *,
+        scheduler: Scheduler | None = None,
+        policy: ExecutionPolicy | None = None,
+        on_step=None,
+        fault_model=None,
+        retry_policy=None,
+        fsync: bool = True,
+        obs: Observability | None = None,
+    ) -> "tuple[Simulator, list]":
+        """:meth:`recover`, also returning the journal records it read
+        and verified (so a caller needing them parses the file once)."""
         from repro.jobs.policies import policy_by_name
         from repro.schedulers import scheduler_by_name
         from repro.sim.journal import (
@@ -2160,7 +2198,7 @@ class Simulator:
             start_seq=records[-1].seq,
         )
         sim._journal_started = True
-        return sim
+        return sim, records
 
 
 def simulate(

@@ -12,7 +12,7 @@ The engine has exactly one kernel of its own.  At a run's first step it
 decides whether the run is *lean-eligible*: the scheduler is exactly
 :class:`~repro.schedulers.krad.KRad`, every job is exactly a
 :class:`~repro.jobs.phase_job.PhaseJob`, and nothing consumes per-task
-ids or per-step state (no trace, journal, fault model, supervisor or
+ids or per-job state within a step (no trace, fault model, supervisor or
 ``on_step`` hook) on a unit-speed machine.  Every other run executes the
 reference :meth:`Simulator._step` unchanged — for DAG jobs, other
 schedulers and traced runs the reference step is the faster one.  A lean run steps
@@ -40,7 +40,16 @@ through three mechanisms:
    and one bulk array update.  ``s`` is the largest span in which no
    desire changes, no job completes, no arrival lands and the stepping
    loop's clock target is not passed.  Churn (capacity faults included)
-   disables the skip — every unit step must see its own capacities.
+   disables the skip — every unit step must see its own capacities — and
+   so does a journal, which holds one digest record per unit step.
+
+A journaled run stays lean.  Each unit step ends in the reference step's
+journal tail (:meth:`Simulator._journal_step`): its digest reads the live
+jobs' remaining work straight from the arrays (``R`` plus each job's
+precomputed future-phase work), and a checkpoint-delta record flushes
+the arrays into the Job objects first, so the journal is byte-identical
+to the reference engine's.  Recovery still replays through the reference
+step; the first lean step after it takes over the replay's state.
 
 Injecting a job that is not a plain ``PhaseJob`` into a lean run hands
 the rest of the run to the reference step (``KRad.allocate`` materialises
@@ -92,14 +101,15 @@ class FastSimulator(Simulator):
         """Decide lean eligibility for the run and load the arrays."""
         st = self._state
         # Strict type checks: a KRad or PhaseJob *subclass* may override
-        # allocate or execute, so only the exact classes run lean.
+        # allocate or execute, so only the exact classes run lean.  A
+        # journal does not matter: its step records read only the digest
+        # (answered from the arrays) and the quiescent skip is off under it.
         self._ft_lean = (
             type(self._scheduler) is KRad
             and self._max_speed == 1
             and self._fault_model is None
             and self._supervisor is None
             and self._on_step is None
-            and self._journal is None
             and st.trace is None
             and all(type(j) is PhaseJob for j in st.pending)
             and all(type(j) is PhaseJob for j in st.alive.values())
@@ -120,6 +130,19 @@ class FastSimulator(Simulator):
         for i, job in enumerate(self._ft_jobs):
             self._ft_read_row(i, job)
         self._ft_batch = self._scheduler.begin_batch(self._ft_jids)
+        prev = self._obs_prev_alloc
+        if prev is not None:
+            # Reference steps ran first (journal replay on recovery) and
+            # left a dict snapshot: realign it into the matrix form and
+            # bank departed jobs in the carry, as _ft_sync does.
+            row = {jid: i for i, jid in enumerate(self._ft_jids)}
+            P = np.zeros((n, k), dtype=np.int64)
+            for jid, a in prev.items():
+                if jid in row:
+                    P[row[jid]] = a
+                else:
+                    self._obs_realloc_carry += float(np.sum(a))
+            self._obs_prev_alloc = ["matrix", self._ft_jids, P]
 
     # ------------------------------------------------------------------
     def _ft_read_row(self, i: int, job: Job) -> None:
@@ -157,12 +180,35 @@ class FastSimulator(Simulator):
             )
         self._ft_stale = False
 
+    def _live_remaining(self) -> dict[str, list[int]]:
+        if not self._ft_stale:
+            return super()._live_remaining()
+        # Mid-loop the arrays lead the Job objects: a live job's remaining
+        # work is its R row plus its precomputed future-phase work, read
+        # without a flush.  Rows that completed this step are not live.
+        alive = self._state.alive
+        rows = [i for i, jid in enumerate(self._ft_jids) if jid in alive]
+        if not rows:
+            return {}
+        jobs, pi = self._ft_jobs, self._ft_PI
+        future = [jobs[i]._suffix_work[pi[i] + 1] for i in rows]
+        remaining = (self._ft_R[rows] + future).tolist()
+        return {str(self._ft_jids[i]): w for i, w in zip(rows, remaining)}
+
+    def _checkpoint_delta(self) -> dict:
+        # A lean step writes this record mid-loop: its job snapshots need
+        # the Job objects in step with the arrays.
+        self._ft_flush()
+        return super()._checkpoint_delta()
+
     # ------------------------------------------------------------------
     def _step_until(self, t_stop: float) -> None:
-        # Lean steps only run inside this loop, and nothing inside it
-        # reads job state, so writing the arrays back on the way out
-        # keeps every observation — digest, checkpoint, backlog, a paused
-        # run's jobs — identical to the reference engine's.
+        # Lean steps only run inside this loop, and inside it only the
+        # journal tail reads job state (the digest through the arrays, a
+        # checkpoint-delta record after a flush), so writing the arrays
+        # back on the way out keeps every observation — digest,
+        # checkpoint, backlog, a paused run's jobs — identical to the
+        # reference engine's.
         try:
             super()._step_until(t_stop)
         finally:
@@ -405,17 +451,21 @@ class FastSimulator(Simulator):
                 len(completions),
                 stalled,
             )
+        if self._journal is not None:
+            self._journal_step(t)
         if prof is not None:
             prof.lap("bookkeeping")
 
         # Quiescent-span skip: if this step was fully satisfied with
         # every category in DEQ mode, and no event can land before the
-        # desires change, the next s steps are this step verbatim.
+        # desires change, the next s steps are this step verbatim.  A
+        # journal keeps unit steps: each has its own digest record.
         if (
             progress > 0
             and not arrivals
             and not completions
             and not self._faulty
+            and self._journal is None
             and self._ft_batch.quiescent()
         ):
             totals = D.sum(axis=0)

@@ -3,15 +3,17 @@ digest-verified recovery."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.errors import JournalError
 from repro.io.trace_io import trace_to_dict
-from repro.jobs import workloads
+from repro.jobs import JobSet, workloads
 from repro.machine import KResourceMachine
 from repro.machine.churn import ChurnEvent, ChurnSchedule
+from repro.obs import Observability
 from repro.schedulers import KRad
 from repro.sim import (
     ENGINE_NAMES,
@@ -272,9 +274,10 @@ class TestJournaledRuns:
         assert records[-1].type == "end"
 
     def test_fast_engine_recovers_lean_eligible_run(self, tmp_path):
-        """A K-RAD phase-job run is lean-eligible once the journal is
-        detached, yet recovery must replay one unit step per journal
-        record and the resumed run must journal every step."""
+        """A journaled K-RAD phase-job run steps lean, yet recovery must
+        replay one unit step per journal record, and the resumed run
+        must journal every step: the quiescent skip, which this light
+        workload would take, stays off under a journal."""
         machine = KResourceMachine((6, 4))
         js = workloads.light_phase_jobset(
             np.random.default_rng(0), machine, 4
@@ -394,6 +397,141 @@ class TestJournaledRuns:
         assert [i.to_dict() for i in r.incidents] == [
             i.to_dict() for i in ref.incidents
         ]
+
+
+#: a 3-category machine with contention, so K-RAD opens round-robin
+#: cycles and the lean kernel's batch state carries marks
+LEAN_CAPS = (6, 3, 2)
+
+
+def _phase_jobs(seed, n, base_id=0):
+    """``n`` phase jobs with ids from ``base_id``, released 3 steps
+    apart."""
+    rng = np.random.default_rng(seed)
+    jobs = list(
+        workloads.random_phase_jobset(
+            rng, len(LEAN_CAPS), n, max_phases=3, max_work=30
+        ).jobs
+    )
+    for i, job in enumerate(jobs):
+        job.job_id = base_id + i
+        job.release_time = 3 * i
+    return jobs
+
+
+def _lean_sim(engine, jobs, machine=None, **kwargs):
+    machine = machine or KResourceMachine(LEAN_CAPS)
+    return engine_class(engine)(
+        machine,
+        KRad(),
+        JobSet(jobs, num_categories=machine.num_categories),
+        seed=0,
+        **kwargs,
+    )
+
+
+class TestJournaledLeanRuns:
+    """A journaled K-RAD phase-job run keeps the fast engine's lean
+    kernel, and its journal is the reference engine's, byte for byte."""
+
+    @pytest.mark.parametrize("every", [1, 7, 25])
+    def test_sliced_run_journal_is_byte_identical(self, tmp_path, every):
+        journals = {}
+        for engine in ENGINE_NAMES:
+            path = str(tmp_path / f"{engine}.journal")
+            sim = _lean_sim(
+                engine,
+                _phase_jobs(1, 6),
+                journal=Journal(path, checkpoint_every=every, fsync=False),
+            )
+            late = _phase_jobs(2, 4, base_id=100)
+            sim.advance_until(4)
+            sim.inject_job(late[0], release_time=5, meta={"tenant": "a"})
+            sim.advance_until(10)
+            sim.inject_job(late[1], release_time=12)
+            sim.inject_job(late[2], release_time=25)
+            sim.cancel_pending(late[2].job_id)
+            sim.advance_until(40)
+            sim.inject_job(late[3], release_time=45)
+            sim.run()
+            if engine == "fast":
+                assert sim._ft_lean is True
+            with open(path, "rb") as fh:
+                journals[engine] = fh.read()
+        assert journals["fast"] == journals["reference"]
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_lean_journal_recovers_across_crashes(self, engine, tmp_path):
+        """Crash a lean-written journal at a checkpoint record and twice
+        between two of them; every recovery (on either engine) verifies
+        the lean kernel's digests, a fast recovery continues lean, and
+        the replay-to-lean handoff reports the reference's telemetry."""
+        jobs = _phase_jobs(3, 10)
+        ref = _lean_sim("reference", [j.fresh_copy() for j in jobs]).run()
+        path = str(tmp_path / "run.journal")
+        sim = _lean_sim(
+            "fast",
+            jobs,
+            journal=Journal(path, checkpoint_every=7, fsync=False),
+        )
+        assert sim.advance_until(14) is False  # a checkpoint record
+        assert sim._ft_lean is True
+        sim._journal.close()
+        for crash in (17, 30):  # between records 14/21 and 28/35
+            sim = engine_class(engine).recover(
+                path, fsync=False, obs=Observability()
+            )
+            assert sim.advance_until(crash) is False
+            assert getattr(sim, "_ft_lean", False) is (engine == "fast")
+            sim._journal.close()
+        runs = {}
+        for name in ENGINE_NAMES:
+            copy = str(tmp_path / f"{name}.journal")
+            shutil.copy(path, copy)
+            obs = Observability()
+            sim = engine_class(name).recover(copy, fsync=False, obs=obs)
+            runs[name] = (sim.run(), obs.metrics)
+        for result, _metrics in runs.values():
+            _assert_identical(ref, result)
+        fast, reference = runs["fast"][1], runs["reference"][1]
+        assert fast.steps == reference.steps
+        assert fast.steady_steps == 0
+        assert fast.realloc_units == reference.realloc_units
+        assert fast.realloc.count == reference.realloc.count
+
+    @pytest.mark.parametrize(
+        "feature",
+        ["trace", "fault_model", "supervisor", "on_step", "speeds", "dag"],
+    )
+    def test_reference_step_runs_where_lean_cannot(self, feature, tmp_path):
+        kwargs = {
+            "trace": {"record_trace": True},
+            "fault_model": {"fault_model": TaskFailures(0.1, seed=7)},
+            "supervisor": {"supervisor": Supervisor(default_monitors())},
+            "on_step": {"on_step": lambda t, alive: None},
+            "speeds": {
+                "machine": KResourceMachine(LEAN_CAPS, speeds=(2, 1, 1))
+            },
+            "dag": {},
+        }[feature]
+        path = str(tmp_path / "run.journal")
+        sim = _lean_sim(
+            "fast",
+            _phase_jobs(4, 4),
+            journal=Journal(path, fsync=False),
+            **kwargs,
+        )
+        if feature == "dag":
+            dag = workloads.random_dag_jobset(
+                np.random.default_rng(5), len(LEAN_CAPS), 1, size_hint=10
+            ).jobs[0]
+            dag.job_id = 100
+            sim.inject_job(dag, release_time=2)
+        sim.advance_until(3)
+        assert sim._ft_lean is False
+        sim.run()
+        records, _, clean = read_journal(path)
+        assert clean and records[-1].type == "end"
 
 
 class TestRecoveryGuards:

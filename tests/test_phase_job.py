@@ -98,6 +98,21 @@ class TestPhaseJob:
         assert job.remaining_work_vector().tolist() == [7]
         job.execute(np.asarray([1]), None)
         assert job.remaining_work_vector().tolist() == [6]
+        # the suffix table against a direct sum of the later phases
+        phases = [
+            Phase([4, 0], [2, 1]),
+            Phase([1, 3], [1, 2]),
+            Phase([2, 2], [1, 1]),
+        ]
+        job = PhaseJob(phases)
+        while not job.is_complete:
+            idx = job.current_phase_index
+            future = sum(ph.work for ph in phases[idx + 1 :])
+            assert (
+                job.remaining_work_vector() == job.phase_remaining + future
+            ).all()
+            job.execute(job.desire_vector(), None)
+        assert job.remaining_work_vector().tolist() == [0, 0]
 
     def test_fresh_copy_resets(self):
         job = PhaseJob([Phase([2], [2])], job_id=3, release_time=5)

@@ -154,6 +154,44 @@ class TestServiceCore:
         with pytest.raises(ServiceError, match="journal_path"):
             SchedulingService.recover(cfg)
 
+    def test_recover_parses_the_journal_once(self, tmp_path, monkeypatch):
+        """The tenant, id, token and cancel maps come from the records
+        the engine's recovery already read and verified."""
+        import repro.service.core as core
+        import repro.sim.journal as journal
+
+        cfg = ServiceConfig(
+            capacities=CAPS,
+            seed=7,
+            engine="fast",
+            journal_path=str(tmp_path / "svc.journal"),
+            fsync=False,
+        )
+        svc = SchedulingService(cfg, obs=Observability())
+        for i, job in enumerate(_jobs(9, 8)):
+            assert svc.submit(f"t{i % 3}", job, token=f"k{i}")["ok"]
+            svc.tick()
+        late = svc.submit("t0", _jobs(10, 1)[0], release_time=500)
+        assert svc.cancel(late["job_id"])["ok"]
+        svc.simulator._journal.close()
+
+        calls = []
+        read_journal = journal.read_journal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return read_journal(*args, **kwargs)
+
+        monkeypatch.setattr(journal, "read_journal", counting)
+        monkeypatch.setattr(core, "read_journal", counting, raising=False)
+        got = SchedulingService.recover(cfg, obs=Observability())
+        assert len(calls) == 1
+        assert got._tenant_of == svc._tenant_of
+        assert got._release_of == svc._release_of
+        assert got._tokens == svc._tokens
+        assert got._cancelled == svc._cancelled == {late["job_id"]}
+        assert got._next_id == svc._next_id
+
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     @pytest.mark.parametrize("fault", ["outage", "availability"])
     def test_capacity_faults_recover_from_config_alone(
