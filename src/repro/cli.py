@@ -68,6 +68,7 @@ leaderboard, and regression-check it against a committed baseline::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -173,13 +174,14 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _install_obs(args):
-    """Build + install the process-default Observability, if requested.
+def _install_obs(args, *, always: bool = False):
+    """Build + install the process-default Observability, if requested
+    (``always``: even without ``--obs-out``/``--events-out``).
 
     Returns the bundle (or ``None``); telemetry is read-only, so results
     are identical with or without these flags (see docs/OBSERVABILITY.md).
     """
-    if args.obs_out is None and args.events_out is None:
+    if not always and args.obs_out is None and args.events_out is None:
         return None
     from repro.obs import Observability, set_default_obs
 
@@ -188,14 +190,35 @@ def _install_obs(args):
     return obs
 
 
-def _abort_obs(obs) -> None:
-    """Tear down an installed Observability without exporting (error path)."""
-    if obs is None:
-        return
-    from repro.obs import set_default_obs
+def _abort_obs() -> None:
+    """Tear down the installed Observability without exporting (error path)."""
+    from repro.obs import get_default_obs, set_default_obs
 
-    set_default_obs(None)
-    obs.close()
+    obs = get_default_obs()
+    if obs is not None:
+        set_default_obs(None)
+        obs.close()
+
+
+def _subcommand(prog: str):
+    """The one error path of a subcommand: any error prints one
+    ``prog: message`` line on stderr, discards the telemetry the
+    subcommand installed, and exits 2.  (argparse's own usage errors
+    still exit 2 through ``SystemExit``.)"""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(argv: list[str]) -> int:
+            try:
+                return body(argv)
+            except Exception as exc:  # surface every failure as a CLI error
+                print(f"{prog}: {exc}", file=sys.stderr)
+                _abort_obs()
+                return 2
+
+        return run
+
+    return decorate
 
 
 def _finish_obs(obs, args, prog: str) -> int:
@@ -221,33 +244,27 @@ def _finish_obs(obs, args, prog: str) -> int:
     return 0
 
 
-def _run_one(
-    experiment_id: str,
-    seed: int,
-    repeats: int | None,
-    out: str | None = None,
-    markdown: bool = False,
-    as_json: bool = False,
-) -> bool:
+def _run_one(experiment_id: str, args) -> bool:
+    """Run one experiment with the top-level flags; True when it passed."""
     import inspect
 
     params = inspect.signature(REGISTRY[experiment_id.upper()]).parameters
     options = {}
     if "seed" in params:
-        options["seed"] = seed
-    if repeats is not None and "repeats" in params:
-        options["repeats"] = repeats
+        options["seed"] = args.seed
+    if args.repeats is not None and "repeats" in params:
+        options["repeats"] = args.repeats
     report = run_experiment(experiment_id, **options)
     rendered = report.render()
     print(rendered)
     print()
-    if out:
-        if as_json:
+    if args.out:
+        if args.json:
             import json
 
             payload = json.dumps(report.to_dict())
             suffix = "\n"
-        elif markdown:
+        elif args.markdown:
             from repro.analysis.export import report_to_markdown
 
             payload = report_to_markdown(report)
@@ -255,13 +272,140 @@ def _run_one(
         else:
             payload = rendered
             suffix = "\n\n"
-        with open(out, "a", encoding="utf-8") as fh:
+        with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(payload + suffix)
     return report.passed
 
 
-def _parse_capacities(spec: str) -> tuple[int, ...]:
+def _parse_capacities(spec: str | None) -> tuple[int, ...] | None:
+    if spec is None:
+        return None
     return tuple(int(c) for c in spec.split(",") if c.strip())
+
+
+def _add_capacities_argument(
+    parser: argparse.ArgumentParser, default: str | None
+) -> None:
+    """The shared ``--capacities`` flag, read by :func:`_parse_capacities`.
+    ``default=None`` leaves the machine to the scenario library."""
+    parser.add_argument(
+        "--capacities",
+        default=default,
+        help="comma-separated per-category processor counts "
+        f"(default {default or '6,4,2'})",
+    )
+
+
+def _add_jobs_arguments(
+    parser: argparse.ArgumentParser, *, jobs: int | None, seed_help: str
+) -> None:
+    """``--jobs``/``--seed``: the random DAG job set :func:`_random_jobs`
+    builds.  ``jobs=None`` leaves both unset so the caller can tell a
+    default from an explicit value."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=jobs,
+        metavar="N",
+        help=f"number of random DAG jobs (default {jobs or 1})",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None if jobs is None else 0,
+        help=f"{seed_help} (default 0)",
+    )
+
+
+def _random_jobs(args, num_categories: int):
+    """The random DAG job set ``--jobs``/``--seed`` describe (unset: one
+    job, seed 0)."""
+    import numpy as np
+
+    from repro.jobs import workloads
+
+    rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    num = 1 if args.jobs is None else args.jobs
+    return workloads.random_dag_jobset(rng, num_categories, num, size_hint=20)
+
+
+def _add_journal_arguments(
+    parser: argparse.ArgumentParser, journal_help: str
+) -> None:
+    """``--journal``/``--checkpoint-every``; :func:`_checkpoint_every`
+    reads the cadence."""
+    parser.add_argument(
+        "--journal", default=None, metavar="FILE", help=journal_help
+    )
+    parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help="checkpoint record every N steps in the journal "
+        "(default 25).  Only meaningful with --journal",
+    )
+
+
+def _checkpoint_every(args) -> int:
+    """The journal's checkpoint cadence: ``--checkpoint-every``, else 25."""
+    if args.checkpoint_every is None:
+        return 25
+    if args.journal is None:
+        raise ValueError(
+            "--checkpoint-every sets the journal's checkpoint cadence; "
+            "it needs --journal FILE"
+        )
+    return args.checkpoint_every
+
+
+def _add_churn_argument(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--churn`` flag, read by :func:`_churn_schedule`."""
+    parser.add_argument(
+        "--churn",
+        action="append",
+        default=None,
+        metavar="STEP:CAT:DELTA[:DURATION]",
+        help="elastic capacity change, repeatable; e.g. 5:0:-3:4 removes "
+        "3 category-0 processors at step 5 for 4 steps, 8:1:+2 adds 2 "
+        "category-1 processors permanently",
+    )
+
+
+def _churn_schedule(capacities: tuple[int, ...], specs: list[str] | None):
+    """The ``--churn`` specs as a ``ChurnSchedule`` (``None`` without any)."""
+    if not specs:
+        return None
+    from repro.machine.churn import ChurnEvent, ChurnSchedule
+
+    events = []
+    for spec in specs:
+        parts = spec.split(":")
+        if len(parts) not in (3, 4):
+            raise ValueError(
+                f"--churn wants STEP:CAT:DELTA[:DURATION], got {spec!r}"
+            )
+        events.append(
+            ChurnEvent(
+                step=int(parts[0]),
+                category=int(parts[1]),
+                delta=int(parts[2]),
+                duration=int(parts[3]) if len(parts) == 4 else None,
+            )
+        )
+    return ChurnSchedule(capacities, events)
+
+
+def _print_run(result) -> int:
+    """Print a finished run's summary and incidents; exit 1 when jobs were
+    quarantined or permanently failed."""
+    print(result.summary())
+    for inc in result.incidents:
+        print(
+            f"incident: step {inc.step} [{inc.monitor}] {inc.action}: "
+            f"{inc.message}"
+        )
+    return 0 if not result.quarantined_jobs and not result.failed_jobs else 1
 
 
 def _add_fault_arguments(
@@ -338,19 +482,9 @@ def _fault_spec_from_args(args):
     """The shared fault flags as a plain :func:`fault_spec` document
     (``None`` when fault-free) — the form a workload-trace header
     stores, so a recorded run can rebuild identical hooks on replay.
-    Raises :class:`ValueError` naming the flags on a conflict."""
+    :func:`fault_spec` refuses conflicting fields."""
     from repro.sim.faults import fault_spec
 
-    if args.outage is not None and args.availability is not None:
-        raise ValueError(
-            "--outage and --availability are mutually exclusive; "
-            "pick one capacity-fault mode"
-        )
-    if args.max_attempts is not None and args.kill_rate <= 0:
-        raise ValueError(
-            "--max-attempts only governs killed-job retries; "
-            "it needs --kill-rate > 0"
-        )
     return fault_spec(
         task_fail_rate=args.task_fail_rate,
         kill_rate=args.kill_rate,
@@ -368,17 +502,11 @@ def _build_fault_objects(capacities: tuple[int, ...], args):
     a churn schedule.  The shipped models are pure functions of ``(seed,
     step)``, so building them again from the same flags yields the
     identical objects a crashed run used — which is exactly what
-    ``recover`` (and trace replay) need.  Raises :class:`ValueError` on
-    conflicting flags.
+    ``recover`` (and trace replay) need.
     """
-    from repro.errors import SimulationError
     from repro.sim.faults import fault_objects_from_spec
 
-    spec = _fault_spec_from_args(args)
-    try:
-        return fault_objects_from_spec(capacities, spec)
-    except SimulationError as exc:
-        raise ValueError(str(exc)) from None
+    return fault_objects_from_spec(capacities, _fault_spec_from_args(args))
 
 
 def _build_faults_parser() -> argparse.ArgumentParser:
@@ -389,17 +517,8 @@ def _build_faults_parser() -> argparse.ArgumentParser:
             "metrics (wasted work, goodput, retries, stalls)"
         ),
     )
-    parser.add_argument(
-        "--capacities",
-        default="8,4",
-        help="comma-separated per-category processor counts (default 8,4)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=10, help="number of random DAG jobs"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload + fault RNG seed"
-    )
+    _add_capacities_argument(parser, "8,4")
+    _add_jobs_arguments(parser, jobs=10, seed_help="workload + fault RNG seed")
     _add_scheduler_argument(parser)
     _add_fault_arguments(parser)
     parser.add_argument(
@@ -419,44 +538,29 @@ def _build_faults_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_subcommand("krad faults")
 def _faults_main(argv: list[str]) -> int:
     """The ``krad faults`` subcommand: ad-hoc fault-injection probe."""
-    import numpy as np
-
     from repro.analysis.tables import format_table
-    from repro.jobs import workloads
     from repro.machine.machine import KResourceMachine
     from repro.sim import simulate, summarize_robustness
 
     args = _build_faults_parser().parse_args(argv)
-    obs = None
-    try:
-        capacities = _parse_capacities(args.capacities)
-        machine = KResourceMachine(capacities)
-        scheduler = _resolve_scheduler(args.scheduler)
-        churn, fault_model, retry_policy = _build_fault_objects(
-            capacities, args
-        )
-        obs = _install_obs(args)
-
-        rng = np.random.default_rng(args.seed)
-        js = workloads.random_dag_jobset(
-            rng, machine.num_categories, args.jobs, size_hint=20
-        )
-        result = simulate(
-            machine,
-            scheduler,
-            js,
-            churn=churn,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            max_stall_steps=args.max_stall_steps,
-            engine=args.engine,
-        )
-    except Exception as exc:  # surface model errors as CLI errors
-        print(f"krad faults: {exc}", file=sys.stderr)
-        _abort_obs(obs)
-        return 2
+    capacities = _parse_capacities(args.capacities)
+    machine = KResourceMachine(capacities)
+    scheduler = _resolve_scheduler(args.scheduler)
+    churn, fault_model, retry_policy = _build_fault_objects(capacities, args)
+    obs = _install_obs(args)
+    result = simulate(
+        machine,
+        scheduler,
+        _random_jobs(args, machine.num_categories),
+        churn=churn,
+        fault_model=fault_model,
+        retry_policy=retry_policy,
+        max_stall_steps=args.max_stall_steps,
+        engine=args.engine,
+    )
     if _finish_obs(obs, args, "krad faults"):
         return 2
 
@@ -481,9 +585,7 @@ def _faults_main(argv: list[str]) -> int:
             with open(args.out, "a", encoding="utf-8") as fh:
                 fh.write(table + "\n\n")
         except OSError as exc:
-            print(f"krad faults: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise OSError(f"cannot write {args.out}: {exc}") from None
     return 0 if not s.failed_jobs else 1
 
 
@@ -496,17 +598,8 @@ def _build_supervise_parser() -> argparse.ArgumentParser:
             "write-ahead journal"
         ),
     )
-    parser.add_argument(
-        "--capacities",
-        default="4,2",
-        help="comma-separated per-category processor counts (default 4,2)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=10, help="number of random DAG jobs"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed"
-    )
+    _add_capacities_argument(parser, "4,2")
+    _add_jobs_arguments(parser, jobs=10, seed_help="workload RNG seed")
     _add_scheduler_argument(parser)
     parser.add_argument(
         "--mode",
@@ -515,29 +608,11 @@ def _build_supervise_parser() -> argparse.ArgumentParser:
         help="strict: raise on the first invariant violation; resilient: "
         "quarantine the offending job and keep going (default)",
     )
-    parser.add_argument(
-        "--churn",
-        action="append",
-        default=None,
-        metavar="STEP:CAT:DELTA[:DURATION]",
-        help="elastic capacity change, repeatable; e.g. 5:0:-3:4 removes "
-        "3 category-0 processors at step 5 for 4 steps, 8:1:+2 adds 2 "
-        "category-1 processors permanently",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="write-ahead journal file ('krad recover FILE' resumes a "
-        "crashed run from it)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint record every N steps in the journal "
-        "(default 25).  Only meaningful with --journal",
+    _add_churn_argument(parser)
+    _add_journal_arguments(
+        parser,
+        "write-ahead journal file ('krad recover FILE' resumes a crashed "
+        "run from it)",
     )
     parser.add_argument(
         "--inject-violation",
@@ -551,34 +626,10 @@ def _build_supervise_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_churn_events(specs: list[str]):
-    from repro.machine.churn import ChurnEvent
-
-    events = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(
-                f"--churn wants STEP:CAT:DELTA[:DURATION], got {spec!r}"
-            )
-        events.append(
-            ChurnEvent(
-                step=int(parts[0]),
-                category=int(parts[1]),
-                delta=int(parts[2]),
-                duration=int(parts[3]) if len(parts) == 4 else None,
-            )
-        )
-    return events
-
-
+@_subcommand("krad supervise")
 def _supervise_main(argv: list[str]) -> int:
     """The ``krad supervise`` subcommand: monitored/journaled simulation."""
-    import numpy as np
-
     from repro.errors import InvariantViolation
-    from repro.jobs import workloads
-    from repro.machine.churn import ChurnSchedule
     from repro.machine.machine import KResourceMachine
     from repro.sim import (
         Journal,
@@ -589,91 +640,59 @@ def _supervise_main(argv: list[str]) -> int:
     )
 
     args = _build_supervise_parser().parse_args(argv)
-    obs = None
-    try:
-        capacities = tuple(
-            int(c) for c in args.capacities.split(",") if c.strip()
-        )
-        machine = KResourceMachine(capacities)
+    capacities = _parse_capacities(args.capacities)
+    machine = KResourceMachine(capacities)
+    checkpoint_every = _checkpoint_every(args)
+    obs = _install_obs(args)
 
-        if args.checkpoint_every is not None and args.journal is None:
+    monitors = default_monitors()
+    if args.inject_violation is not None:
+        parts = args.inject_violation.split(":")
+        if len(parts) != 2:
             raise ValueError(
-                "--checkpoint-every sets the journal's checkpoint cadence; "
-                "it needs --journal FILE"
+                f"--inject-violation wants STEP:JOB, got "
+                f"{args.inject_violation!r}"
             )
-        obs = _install_obs(args)
-
-        monitors = default_monitors()
-        if args.inject_violation is not None:
-            parts = args.inject_violation.split(":")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"--inject-violation wants STEP:JOB, got "
-                    f"{args.inject_violation!r}"
-                )
-            monitors.append(
-                ScriptedViolation(step=int(parts[0]), job_id=int(parts[1]))
-            )
-        supervisor = Supervisor(monitors, mode=args.mode)
-
-        churn = None
-        if args.churn:
-            churn = ChurnSchedule(
-                capacities, _parse_churn_events(args.churn)
-            )
-        journal = (
-            Journal(
-                args.journal,
-                checkpoint_every=(
-                    args.checkpoint_every
-                    if args.checkpoint_every is not None
-                    else 25
-                ),
-            )
-            if args.journal is not None
-            else None
+        monitors.append(
+            ScriptedViolation(step=int(parts[0]), job_id=int(parts[1]))
         )
-
-        rng = np.random.default_rng(args.seed)
-        js = workloads.random_dag_jobset(
-            rng, machine.num_categories, args.jobs, size_hint=20
-        )
-        scheduler = _resolve_scheduler(args.scheduler)
-        result = engine_class(args.engine)(
-            machine,
-            scheduler,
-            js,
-            seed=args.seed,
-            supervisor=supervisor,
-            churn=churn,
-            journal=journal,
-        ).run()
+    supervisor = Supervisor(monitors, mode=args.mode)
+    churn = _churn_schedule(capacities, args.churn)
+    journal = (
+        Journal(args.journal, checkpoint_every=checkpoint_every)
+        if args.journal is not None
+        else None
+    )
+    scheduler = _resolve_scheduler(args.scheduler)
+    sim = engine_class(args.engine)(
+        machine,
+        scheduler,
+        _random_jobs(args, machine.num_categories),
+        seed=args.seed,
+        supervisor=supervisor,
+        churn=churn,
+        journal=journal,
+    )
+    try:
+        result = sim.run()
     except InvariantViolation as exc:
         print(f"krad supervise: {exc}", file=sys.stderr)
-        _abort_obs(obs)
+        _abort_obs()
         return 1
-    except Exception as exc:  # surface model errors as CLI errors
-        print(f"krad supervise: {exc}", file=sys.stderr)
-        _abort_obs(obs)
-        return 2
     if _finish_obs(obs, args, "krad supervise"):
         return 2
 
-    print(result.summary())
-    for inc in result.incidents:
-        print(
-            f"incident: step {inc.step} [{inc.monitor}] {inc.action}: "
-            f"{inc.message}"
-        )
+    code = _print_run(result)
     if churn is not None and hasattr(scheduler, "churn_transitions"):
         for alpha, ledger in enumerate(scheduler.churn_transitions()):
             moves = ", ".join(f"{k}={v}" for k, v in ledger.items() if v)
             print(f"category {alpha} migrations: {moves or 'none'}")
     if args.journal is not None:
         print(f"journal: {args.journal}")
-    return 0 if not result.quarantined_jobs and not result.failed_jobs else 1
+    return code
 
 
+@_subcommand("krad recover")
 def _recover_main(argv: list[str]) -> int:
     """The ``krad recover`` subcommand: resume a crashed journaled run."""
     parser = argparse.ArgumentParser(
@@ -708,32 +727,19 @@ def _recover_main(argv: list[str]) -> int:
 
     from repro.sim import engine_class
 
-    obs = None
-    try:
-        # No capacity flags here, so the machine shape is never needed.
-        _churn, fault_model, retry_policy = _build_fault_objects((), args)
-        obs = _install_obs(args)
-        sim = engine_class(args.engine).recover(
-            args.journal,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-        )
-        result = sim.run()
-    except Exception as exc:
-        print(f"krad recover: {exc}", file=sys.stderr)
-        _abort_obs(obs)
-        return 2
+    # No capacity flags here, so the machine shape is never needed.
+    _churn, fault_model, retry_policy = _build_fault_objects((), args)
+    obs = _install_obs(args)
+    result = engine_class(args.engine).recover(
+        args.journal,
+        fault_model=fault_model,
+        retry_policy=retry_policy,
+    ).run()
     if _finish_obs(obs, args, "krad recover"):
         return 2
 
     print(f"recovered from {args.journal}")
-    print(result.summary())
-    for inc in result.incidents:
-        print(
-            f"incident: step {inc.step} [{inc.monitor}] {inc.action}: "
-            f"{inc.message}"
-        )
-    return 0 if not result.quarantined_jobs and not result.failed_jobs else 1
+    return _print_run(result)
 
 
 def _build_serve_parser() -> argparse.ArgumentParser:
@@ -747,16 +753,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
             "recover FILE' finishes a killed service's backlog)"
         ),
     )
-    parser.add_argument(
-        "--capacities",
-        default="4,2",
-        help="comma-separated per-category processor counts (default 4,2)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="k-rad",
-        help="scheduler name (default k-rad; see repro.schedulers)",
-    )
+    _add_capacities_argument(parser, "4,2")
+    _add_scheduler_argument(parser)
     parser.add_argument(
         "--seed", type=int, default=0, help="engine + fault RNG seed"
     )
@@ -825,20 +823,10 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         help="shed submissions whose admission would certify a "
         "Theorem-3 completion horizon beyond N steps (default: off)",
     )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="crash-safe write-ahead journal; every acknowledged "
-        "submission is recoverable ('krad recover FILE')",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint record every N steps in the journal "
-        "(default 25).  Only meaningful with --journal",
+    _add_journal_arguments(
+        parser,
+        "crash-safe write-ahead journal; every acknowledged submission "
+        "is recoverable ('krad recover FILE')",
     )
     parser.add_argument(
         "--trace",
@@ -848,14 +836,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "NDJSON workload trace; 'krad replay FILE' re-executes the "
         "run bit-identically through either engine",
     )
-    parser.add_argument(
-        "--churn",
-        action="append",
-        default=None,
-        metavar="STEP:CAT:DELTA[:DURATION]",
-        help="elastic capacity change, repeatable (see 'krad supervise'); "
-        "recorded in the --trace header so replays re-apply it",
-    )
+    _add_churn_argument(parser)
     chaos = parser.add_argument_group(
         "chaos transport (deterministic wire-fault injection)"
     )
@@ -955,34 +936,19 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: serve flags consumed by the watchdog itself, stripped from the child's
-#: command line (True = the flag takes a value)
-_SUPERVISOR_FLAGS = {
-    "--supervised": False,
-    "--hang-timeout": True,
-    "--max-restarts": True,
-    "--recovery-deadline": True,
-}
-
-
 def _child_serve_argv(argv: list[str]) -> list[str]:
-    """The supervised child's ``serve`` argv: the watchdog's own flags
-    removed, everything else passed through verbatim."""
-    out: list[str] = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        flag = tok.split("=", 1)[0]
-        if flag in _SUPERVISOR_FLAGS:
-            skip = _SUPERVISOR_FLAGS[flag] and "=" not in tok
-            continue
-        out.append(tok)
-    return out
+    """The supervised child's ``serve`` argv: the watchdog's own, minus
+    every token argparse resolves to ``--supervised`` (any prefix of it
+    from ``--su`` on).  The child parses the watchdog's tuning flags and
+    ignores them."""
+    return [
+        tok
+        for tok in argv
+        if not (len(tok) >= 4 and "--supervised".startswith(tok))
+    ]
 
 
-def _supervised_serve(args, argv: list[str]) -> int:
+def _supervised_serve(args, argv: list[str], address) -> int:
     """Run ``krad serve --supervised``: spawn + probe + restart loop."""
     import subprocess
 
@@ -999,9 +965,6 @@ def _supervised_serve(args, argv: list[str]) -> int:
             "--supervised restarts through journal recovery; it needs "
             "--journal FILE"
         )
-    address = (
-        args.socket if args.socket is not None else (args.host, args.port)
-    )
     child_argv = [
         sys.executable,
         "-m",
@@ -1044,6 +1007,7 @@ def _supervised_serve(args, argv: list[str]) -> int:
     return dog.run()
 
 
+@_subcommand("krad serve")
 def _serve_main(argv: list[str]) -> int:
     """The ``krad serve`` subcommand: run the online scheduling service."""
     import asyncio
@@ -1055,134 +1019,101 @@ def _serve_main(argv: list[str]) -> int:
         ServiceServer,
         ShardedSchedulingService,
     )
+    from repro.service.server import control_endpoint
 
     args = _build_serve_parser().parse_args(argv)
-    obs = None
-    try:
-        capacities = _parse_capacities(args.capacities)
-        if args.socket is not None and args.port is not None:
-            raise ValueError(
-                "--socket and --port bind the same control socket; "
-                "pick TCP or Unix, not both"
-            )
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        if args.shards > 1 and args.supervised:
-            raise ValueError(
-                "--supervised restarts one serving process through 'krad "
-                "recover'; a sharded service supervises its shards "
-                "in-process instead — pick one recovery story"
-            )
-        if args.supervised:
-            return _supervised_serve(args, argv)
-        chaos = ChaosConfig(
-            seed=args.chaos_seed,
-            drop_rate=args.chaos_drop,
-            delay_rate=args.chaos_delay,
-            max_delay_s=args.chaos_delay_ms / 1000.0,
-            corrupt_rate=args.chaos_corrupt,
-            disconnect_rate=args.chaos_disconnect,
+    capacities = _parse_capacities(args.capacities)
+    address = control_endpoint(args.host, args.port, args.socket)
+    if args.shards < 1:
+        raise ValueError(f"--shards must be >= 1, got {args.shards}")
+    if args.shards > 1 and args.supervised:
+        raise ValueError(
+            "--supervised restarts one serving process through 'krad "
+            "recover'; a sharded service supervises its shards "
+            "in-process instead — pick one recovery story"
         )
-        if args.checkpoint_every is not None and args.journal is None:
-            raise ValueError(
-                "--checkpoint-every sets the journal's checkpoint cadence; "
-                "it needs --journal FILE"
-            )
-        if args.churn and (
-            args.outage is not None or args.availability is not None
-        ):
-            raise ValueError(
-                "--churn and --outage/--availability are mutually "
-                "exclusive capacity-fault modes; express degradation as "
-                "negative churn events"
-            )
-        churn, fault_model, retry_policy = _build_fault_objects(
-            capacities, args
+    if args.supervised:
+        return _supervised_serve(args, argv, address)
+    chaos = ChaosConfig(
+        seed=args.chaos_seed,
+        drop_rate=args.chaos_drop,
+        delay_rate=args.chaos_delay,
+        max_delay_s=args.chaos_delay_ms / 1000.0,
+        corrupt_rate=args.chaos_corrupt,
+        disconnect_rate=args.chaos_disconnect,
+    )
+    checkpoint_every = _checkpoint_every(args)
+    if args.churn and (
+        args.outage is not None or args.availability is not None
+    ):
+        raise ValueError(
+            "--churn and --outage/--availability are mutually "
+            "exclusive capacity-fault modes; express degradation as "
+            "negative churn events"
         )
-        if args.trace is not None and args.shards > 1:
-            raise ValueError(
-                "--trace records one engine's submission stream; a "
-                "sharded service runs several engines (per-shard trace "
-                "recording is future work)"
-            )
-        if args.churn:
-            from repro.machine.churn import ChurnSchedule
+    churn, fault_model, retry_policy = _build_fault_objects(capacities, args)
+    if args.churn:
+        churn = _churn_schedule(capacities, args.churn)
 
-            churn = ChurnSchedule(capacities, _parse_churn_events(args.churn))
-
-        from repro.obs import Observability
-
-        # The service always collects metrics (they back /metrics and
-        # the 'metrics' wire op); --events-out adds the bus stream.
-        obs = Observability(events_path=args.events_out)
-        config = ServiceConfig(
-            capacities=capacities,
-            scheduler=args.scheduler,
-            engine=args.engine,
-            seed=args.seed,
-            step_slice=args.step_slice,
-            tenant_quota=args.tenant_quota,
-            max_in_flight=args.max_in_flight,
-            retry_after=args.retry_after,
-            shed_horizon=args.shed_horizon,
-            journal_path=args.journal,
-            checkpoint_every=(
-                args.checkpoint_every
-                if args.checkpoint_every is not None
-                else 25
-            ),
-            trace_path=args.trace,
-            extra=(
-                {
-                    # a capacity fault is recorded once, in "faults"
-                    "faults": _fault_spec_from_args(args),
-                    "churn": churn.to_dict() if args.churn else None,
-                }
-                if args.trace is not None
-                else {}
-            ),
+    # The service always collects metrics (they back /metrics and the
+    # 'metrics' wire op); --events-out adds the bus stream.
+    obs = _install_obs(args, always=True)
+    config = ServiceConfig(
+        capacities=capacities,
+        scheduler=args.scheduler,
+        engine=args.engine,
+        seed=args.seed,
+        step_slice=args.step_slice,
+        tenant_quota=args.tenant_quota,
+        max_in_flight=args.max_in_flight,
+        retry_after=args.retry_after,
+        shed_horizon=args.shed_horizon,
+        journal_path=args.journal,
+        checkpoint_every=checkpoint_every,
+        trace_path=args.trace,
+        extra=(
+            {
+                # a capacity fault is recorded once, in "faults"
+                "faults": _fault_spec_from_args(args),
+                "churn": churn.to_dict() if args.churn else None,
+            }
+            if args.trace is not None
+            else {}
+        ),
+    )
+    journals = (
+        [f"{args.journal}.shard{i}" for i in range(args.shards)]
+        if args.shards > 1
+        else [args.journal]
+    )
+    resuming = args.journal is not None and any(
+        os.path.exists(path) and os.path.getsize(path) > 0
+        for path in journals
+    )
+    if args.shards > 1:
+        if fault_model is not None or churn is not None:
+            raise ValueError(
+                "--shards partitions a clean pool; per-engine fault "
+                "flags (--outage/--availability/--churn/task faults) "
+                "are single-service only"
+            )
+        service = ShardedSchedulingService.open(config, args.shards, obs=obs)
+    else:
+        service = SchedulingService.open(
+            config,
+            obs=obs,
+            fault_model=fault_model,
+            retry_policy=retry_policy,
+            churn=churn,
         )
-        if args.shards > 1:
-            if fault_model is not None or churn is not None:
-                raise ValueError(
-                    "--shards partitions a clean pool; per-engine fault "
-                    "flags (--outage/--availability/--churn/task faults) "
-                    "are single-service only"
-                )
-            resuming = config.journal_path is not None and any(
-                os.path.exists(f"{config.journal_path}.shard{i}")
-                and os.path.getsize(f"{config.journal_path}.shard{i}") > 0
-                for i in range(args.shards)
-            )
-            service = ShardedSchedulingService.open(
-                config, args.shards, obs=obs
-            )
-        else:
-            resuming = (
-                config.journal_path is not None
-                and os.path.exists(config.journal_path)
-                and os.path.getsize(config.journal_path) > 0
-            )
-            service = SchedulingService.open(
-                config,
-                obs=obs,
-                fault_model=fault_model,
-                retry_policy=retry_policy,
-                churn=None if resuming else churn,
-            )
-        server = ServiceServer(
-            service,
-            host=args.host,
-            port=args.port if args.port is not None else 0,
-            unix_path=args.socket,
-            metrics_port=args.metrics_port,
-            chaos=chaos,
-        )
-    except Exception as exc:
-        print(f"krad serve: {exc}", file=sys.stderr)
-        if obs is not None:
-            obs.close()
-        return 2
+    server = ServiceServer(
+        service,
+        host=args.host,
+        port=args.port,
+        unix_path=args.socket,
+        metrics_port=args.metrics_port,
+        chaos=chaos,
+    )
 
     async def _amain() -> None:
         await server.start()
@@ -1225,25 +1156,10 @@ def _serve_main(argv: list[str]) -> int:
         asyncio.run(_amain())
     except KeyboardInterrupt:
         print("krad serve: interrupted", file=sys.stderr)
-        obs.close()
+        _abort_obs()
         return 130
-    except Exception as exc:
-        print(f"krad serve: {exc}", file=sys.stderr)
-        obs.close()
+    if _finish_obs(obs, args, "krad serve"):
         return 2
-    obs.close()
-    if args.obs_out is not None:
-        try:
-            obs.write_prometheus(args.obs_out)
-        except OSError as exc:
-            print(
-                f"krad serve: cannot write {args.obs_out}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"metrics: {args.obs_out}")
-    if args.events_out is not None:
-        print(f"events: {args.events_out}")
     res = service.result
     if isinstance(res, dict):
         # sharded drains merge per-shard summaries into one document
@@ -1317,18 +1233,8 @@ def _build_submit_parser() -> argparse.ArgumentParser:
         default="default",
         help="tenant name for quota accounting (default 'default')",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="submit N random DAG jobs (default 1)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="workload RNG seed for --jobs (default 0)",
+    _add_jobs_arguments(
+        parser, jobs=None, seed_help="workload RNG seed for --jobs"
     )
     parser.add_argument(
         "--job-file",
@@ -1361,6 +1267,7 @@ def _build_submit_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_subcommand("krad submit")
 def _submit_main(argv: list[str]) -> int:
     """The ``krad submit`` subcommand: feed jobs to a running service."""
     from repro.service import RetryBudget, ServiceClient
@@ -1381,88 +1288,69 @@ def _submit_main(argv: list[str]) -> int:
         else None
     )
     client_timeout = 5.0 if args.retry else 30.0
-    try:
-        address = _connect_address(args)
-        if args.job_file is not None and (
-            args.jobs is not None or args.seed is not None
-        ):
-            raise ValueError(
-                "--job-file submits exactly the jobs in the file; "
-                "--jobs/--seed generate random ones — pick one source"
-            )
-        jobs: list = []
-        if args.job_file is not None:
-            import json as _json
+    address = _connect_address(args)
+    if args.job_file is not None and (
+        args.jobs is not None or args.seed is not None
+    ):
+        raise ValueError(
+            "--job-file submits exactly the jobs in the file; "
+            "--jobs/--seed generate random ones — pick one source"
+        )
+    if args.job_file is not None:
+        import json
 
-            from repro.io.serialize import job_from_dict, jobset_from_dict
+        from repro.io.serialize import job_from_dict, jobset_from_dict
 
-            with open(args.job_file, encoding="utf-8") as fh:
-                doc = _json.load(fh)
-            if doc.get("format") == "jobset":
-                jobs = list(jobset_from_dict(doc).jobs)
-            else:
-                jobs = [job_from_dict(doc)]
+        with open(args.job_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("format") == "jobset":
+            jobs = list(jobset_from_dict(doc).jobs)
         else:
-            import numpy as np
-
-            from repro.jobs import workloads
-
-            num = args.jobs if args.jobs is not None else 1
-            seed = args.seed if args.seed is not None else 0
-            with ServiceClient(
-                address, timeout=client_timeout, retry=retry
-            ) as probe:
-                k = len(probe.stats()["capacities"])
-            rng = np.random.default_rng(seed)
-            jobs = list(
-                workloads.random_dag_jobset(rng, k, num, size_hint=20).jobs
-            )
-    except Exception as exc:
-        print(f"krad submit: {exc}", file=sys.stderr)
-        return 2
+            jobs = [job_from_dict(doc)]
+    else:
+        with ServiceClient(
+            address, timeout=client_timeout, retry=retry
+        ) as probe:
+            k = len(probe.stats()["capacities"])
+        jobs = list(_random_jobs(args, k).jobs)
 
     rejected = 0
     admitted: list[int] = []
-    try:
-        with ServiceClient(
-            address, timeout=client_timeout, retry=retry
-        ) as client:
-            for job in jobs:
-                if args.retry:
-                    ack = client.submit_blocking(
-                        args.tenant, job, release_time=args.release_time
-                    )
-                else:
-                    ack = client.submit(
-                        args.tenant, job, release_time=args.release_time
-                    )
-                if ack.get("ok"):
-                    admitted.append(ack["job_id"])
-                    print(
-                        f"job {ack['job_id']} tenant={ack['tenant']} "
-                        f"release={ack['release']}"
-                    )
-                else:
-                    rejected += 1
-                    print(
-                        f"rejected: {ack.get('reason')} "
-                        f"(retry_after={ack.get('retry_after')}): "
-                        f"{ack.get('error')}"
-                    )
-            if args.wait:
-                for jid in admitted:
-                    st = client.wait(jid)
-                    rt = st.get("response_time")
-                    print(
-                        f"job {jid} {st.get('state')}"
-                        + (f" response_time={rt}" if rt is not None else "")
-                    )
-    except Exception as exc:
-        print(f"krad submit: {exc}", file=sys.stderr)
-        return 2
+    with ServiceClient(address, timeout=client_timeout, retry=retry) as client:
+        for job in jobs:
+            if args.retry:
+                ack = client.submit_blocking(
+                    args.tenant, job, release_time=args.release_time
+                )
+            else:
+                ack = client.submit(
+                    args.tenant, job, release_time=args.release_time
+                )
+            if ack.get("ok"):
+                admitted.append(ack["job_id"])
+                print(
+                    f"job {ack['job_id']} tenant={ack['tenant']} "
+                    f"release={ack['release']}"
+                )
+            else:
+                rejected += 1
+                print(
+                    f"rejected: {ack.get('reason')} "
+                    f"(retry_after={ack.get('retry_after')}): "
+                    f"{ack.get('error')}"
+                )
+        if args.wait:
+            for jid in admitted:
+                st = client.wait(jid)
+                rt = st.get("response_time")
+                print(
+                    f"job {jid} {st.get('state')}"
+                    + (f" response_time={rt}" if rt is not None else "")
+                )
     return 1 if rejected else 0
 
 
+@_subcommand("krad drain")
 def _drain_main(argv: list[str]) -> int:
     """The ``krad drain`` subcommand: drain a running service."""
     parser = argparse.ArgumentParser(
@@ -1481,23 +1369,18 @@ def _drain_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.errors import ServiceError
     from repro.service import ServiceClient
 
-    try:
-        address = _connect_address(args)
-        with ServiceClient(address, timeout=120.0) as client:
-            if args.stats:
-                import json as _json
+    with ServiceClient(_connect_address(args), timeout=120.0) as client:
+        if args.stats:
+            import json
 
-                print(_json.dumps(client.stats(), indent=2, sort_keys=True))
-                return 0
-            summary = client.drain()
-    except Exception as exc:
-        print(f"krad drain: {exc}", file=sys.stderr)
-        return 2
+            print(json.dumps(client.stats(), indent=2, sort_keys=True))
+            return 0
+        summary = client.drain()
     if not summary.get("ok"):
-        print(f"krad drain: {summary.get('error')}", file=sys.stderr)
-        return 2
+        raise ServiceError(summary.get("error"))
     print(
         f"drained at makespan {summary['makespan']}: "
         f"{summary['completed']} completed, "
@@ -1513,6 +1396,7 @@ def _drain_main(argv: list[str]) -> int:
     return 0 if not summary["failed"] else 1
 
 
+@_subcommand("krad shards")
 def _shards_main(argv: list[str]) -> int:
     """The ``krad shards`` subcommand: inspect a sharded service."""
     parser = argparse.ArgumentParser(
@@ -1536,22 +1420,17 @@ def _shards_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.errors import ServiceError
     from repro.service import ServiceClient
 
-    try:
-        address = _connect_address(args)
-        with ServiceClient(address, timeout=30.0) as client:
-            doc = client.shards_status()
-    except Exception as exc:
-        print(f"krad shards: {exc}", file=sys.stderr)
-        return 2
+    with ServiceClient(_connect_address(args), timeout=30.0) as client:
+        doc = client.shards_status()
     if not doc.get("ok"):
-        print(f"krad shards: {doc.get('error')}", file=sys.stderr)
-        return 2
+        raise ServiceError(doc.get("error"))
     if args.json:
-        import json as _json
+        import json
 
-        print(_json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(
         f"{doc['num_shards']} shards, fleet state {doc['state']}, "
@@ -1584,6 +1463,7 @@ def _shards_main(argv: list[str]) -> int:
     return 0 if healthy else 1
 
 
+@_subcommand("krad replay")
 def _replay_main(argv: list[str]) -> int:
     """The ``krad replay`` subcommand: re-execute a workload trace."""
     parser = argparse.ArgumentParser(
@@ -1623,14 +1503,10 @@ def _replay_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.errors import ReplayError, ReproError
+    from repro.errors import ReplayError
     from repro.workloads import WorkloadTrace, replay, replay_compare
 
-    try:
-        trace = WorkloadTrace.load(args.trace)
-    except (OSError, ReproError) as exc:
-        print(f"krad replay: {exc}", file=sys.stderr)
-        return 2
+    trace = WorkloadTrace.load(args.trace)
     n_submit = len(trace.submissions())
     n_cancel = len(trace.records) - n_submit
     origin = trace.scenario or "recorded run"
@@ -1657,9 +1533,6 @@ def _replay_main(argv: list[str]) -> int:
         where = f" (step {exc.step})" if exc.step is not None else ""
         print(f"krad replay: DIVERGED{where}: {exc}", file=sys.stderr)
         return 1
-    except ReproError as exc:
-        print(f"krad replay: {exc}", file=sys.stderr)
-        return 2
     for name in sorted(outcomes):
         o = outcomes[name]
         res = o.result
@@ -1683,6 +1556,7 @@ def _replay_main(argv: list[str]) -> int:
     return 0
 
 
+@_subcommand("krad workload")
 def _workload_main(argv: list[str]) -> int:
     """The ``krad workload`` subcommand: the scenario library."""
     parser = argparse.ArgumentParser(
@@ -1709,19 +1583,13 @@ def _workload_main(argv: list[str]) -> int:
         metavar="N",
         help="job count (default: the scenario's own)",
     )
-    gen.add_argument(
-        "--capacities",
-        default=None,
-        help="comma-separated per-category processor counts "
-        "(default 6,4,2)",
-    )
+    _add_capacities_argument(gen, None)
     gen.add_argument(
         "--scheduler", default="k-rad", help="scheduler recorded in the "
         "trace header (default k-rad)",
     )
     args = parser.parse_args(argv)
 
-    from repro.errors import ReproError
     from repro.workloads import SCENARIOS, build_trace, scenario_names
 
     if args.action == "list":
@@ -1730,22 +1598,14 @@ def _workload_main(argv: list[str]) -> int:
             tag = "        " if spec.certified else "[faults] "
             print(f"{name:18s} {tag}{spec.description}")
         return 0
-    try:
-        trace = build_trace(
-            args.scenario,
-            seed=args.seed,
-            num_jobs=args.jobs,
-            capacities=(
-                _parse_capacities(args.capacities)
-                if args.capacities is not None
-                else None
-            ),
-            scheduler=args.scheduler,
-        )
-        trace.dump(args.out)
-    except (OSError, ReproError, ValueError) as exc:
-        print(f"krad workload: {exc}", file=sys.stderr)
-        return 2
+    trace = build_trace(
+        args.scenario,
+        seed=args.seed,
+        num_jobs=args.jobs,
+        capacities=_parse_capacities(args.capacities),
+        scheduler=args.scheduler,
+    )
+    trace.dump(args.out)
     print(
         f"wrote {args.out}: {args.scenario}, {len(trace)} submissions, "
         f"capacities {list(trace.capacities)}, seed {trace.seed}, "
@@ -1754,6 +1614,7 @@ def _workload_main(argv: list[str]) -> int:
     return 0
 
 
+@_subcommand("krad arena")
 def _arena_main(argv: list[str]) -> int:
     """The ``krad arena`` subcommand: policy tournaments + leaderboards."""
     parser = argparse.ArgumentParser(
@@ -1795,12 +1656,7 @@ def _arena_main(argv: list[str]) -> int:
         metavar="N",
         help="job count per scenario (default: each scenario's own)",
     )
-    run_p.add_argument(
-        "--capacities",
-        default=None,
-        help="comma-separated per-category processor counts "
-        "(default 6,4,2)",
-    )
+    _add_capacities_argument(run_p, None)
     run_p.add_argument(
         "--objective",
         choices=("makespan", "response"),
@@ -1848,8 +1704,6 @@ def _arena_main(argv: list[str]) -> int:
         run_cross_engine_tournament,
         run_tournament,
     )
-    from repro.errors import ReproError
-
     objective_attr = {
         "makespan": "makespan_ratio",
         "response": "mean_response_ratio",
@@ -1881,55 +1735,47 @@ def _arena_main(argv: list[str]) -> int:
             )
         )
 
-    try:
-        if args.action == "run":
-            kwargs = dict(
-                scenarios=(
-                    [s for s in args.scenarios.split(",") if s]
-                    if args.scenarios
-                    else None
-                ),
-                policies=(
-                    [p for p in args.policies.split(",") if p]
-                    if args.policies
-                    else None
-                ),
-                seed=args.seed,
-                num_jobs=args.jobs,
-                capacities=(
-                    _parse_capacities(args.capacities)
-                    if args.capacities is not None
-                    else None
-                ),
-            )
-            if args.engine == "both":
-                boards = run_cross_engine_tournament(**kwargs)
-                board = boards["reference"]
-                _print_board(board)
-                print(
-                    "bit-identical across reference, fast "
-                    f"(engine-masked digest "
-                    f"{board.content_digest()[:16]}…)"
-                )
-            else:
-                board = run_tournament(engine=args.engine, **kwargs)
-                _print_board(board)
-            if args.out:
-                board.dump(args.out)
-                print(f"wrote {args.out}")
-            return 0
-        if args.action == "leaderboard":
-            _print_board(load_leaderboard(args.file))
-            return 0
-        # compare
-        failures = compare_leaderboards(
-            load_leaderboard(args.current),
-            load_leaderboard(args.baseline),
-            max_regression=args.max_regression,
+    if args.action == "run":
+        kwargs = dict(
+            scenarios=(
+                [s for s in args.scenarios.split(",") if s]
+                if args.scenarios
+                else None
+            ),
+            policies=(
+                [p for p in args.policies.split(",") if p]
+                if args.policies
+                else None
+            ),
+            seed=args.seed,
+            num_jobs=args.jobs,
+            capacities=_parse_capacities(args.capacities),
         )
-    except (OSError, ReproError, ValueError) as exc:
-        print(f"krad arena: {exc}", file=sys.stderr)
-        return 2
+        if args.engine == "both":
+            boards = run_cross_engine_tournament(**kwargs)
+            board = boards["reference"]
+            _print_board(board)
+            print(
+                "bit-identical across reference, fast "
+                f"(engine-masked digest "
+                f"{board.content_digest()[:16]}…)"
+            )
+        else:
+            board = run_tournament(engine=args.engine, **kwargs)
+            _print_board(board)
+        if args.out:
+            board.dump(args.out)
+            print(f"wrote {args.out}")
+        return 0
+    if args.action == "leaderboard":
+        _print_board(load_leaderboard(args.file))
+        return 0
+    # compare
+    failures = compare_leaderboards(
+        load_leaderboard(args.current),
+        load_leaderboard(args.baseline),
+        max_regression=args.max_regression,
+    )
     if failures:
         for f in failures:
             print(f"krad arena: REGRESSION: {f}", file=sys.stderr)
@@ -1941,29 +1787,26 @@ def _arena_main(argv: list[str]) -> int:
     return 0
 
 
+#: ``krad <name> ...`` subcommands; anything else names an experiment
+_SUBCOMMANDS = {
+    "faults": _faults_main,
+    "supervise": _supervise_main,
+    "recover": _recover_main,
+    "serve": _serve_main,
+    "submit": _submit_main,
+    "drain": _drain_main,
+    "shards": _shards_main,
+    "replay": _replay_main,
+    "workload": _workload_main,
+    "arena": _arena_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "supervise":
-        return _supervise_main(argv[1:])
-    if argv and argv[0] == "recover":
-        return _recover_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_main(argv[1:])
-    if argv and argv[0] == "drain":
-        return _drain_main(argv[1:])
-    if argv and argv[0] == "shards":
-        return _shards_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return _replay_main(argv[1:])
-    if argv and argv[0] == "workload":
-        return _workload_main(argv[1:])
-    if argv and argv[0] == "arena":
-        return _arena_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     args = _build_parser().parse_args(argv)
     target = args.experiment.upper()
 
@@ -2021,23 +1864,14 @@ def main(argv: list[str] | None = None) -> int:
 
     obs = _install_obs(args)
     try:
+        keys = sorted(REGISTRY) if target == "ALL" else [target]
+        ok = all([_run_one(key, args) for key in keys])
         if target == "ALL":
-            ok = True
-            for key in sorted(REGISTRY):
-                ok &= _run_one(
-                    key, args.seed, args.repeats, args.out, args.markdown,
-                    args.json,
-                )
             print(
                 "ALL EXPERIMENTS PASSED" if ok else "SOME EXPERIMENTS FAILED"
             )
-        else:
-            ok = _run_one(
-                target, args.seed, args.repeats, args.out, args.markdown,
-                args.json,
-            )
     except Exception:
-        _abort_obs(obs)
+        _abort_obs()
         raise
     if _finish_obs(obs, args, "krad"):
         return 2

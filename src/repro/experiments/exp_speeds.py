@@ -88,7 +88,7 @@ def run(*, seed: int = 0, repeats: int = 3, n_jobs: tuple[int, ...] = (6, 12)) -
         trial_rng = np.random.default_rng(seed * 97 + trial)
         js = workloads.random_dag_jobset(trial_rng, 2, 8, size_hint=20)
         aware = simulate(
-            aware_machine, SpeedAwareClairvoyant(aware_speeds), js,
+            aware_machine, SpeedAwareClairvoyant(), js,
             policy=CP_FIRST,
         )
         blind = simulate(

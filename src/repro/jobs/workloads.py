@@ -9,8 +9,14 @@ reproducible from a seed.  Two families:
 * **phase workloads** — :class:`~repro.jobs.phase_job.PhaseJob` profiles,
   used for large mean-response-time sweeps.
 
-Release-time helpers turn a batched set into an online one (Poisson or
-uniform arrivals), exercising the arbitrary-release-time side of Theorem 3.
+Release-time helpers turn a batched set into an online one, exercising the
+arbitrary-release-time side of Theorem 3: Poisson, uniform and bursty
+arrivals, plus the adversarial shapes — diurnal load curves (a day/night
+cycle compressed into virtual steps) and flash crowds (a large fraction of
+the workload landing inside a tiny window on top of a background trickle).
+Each returns a sorted, non-negative integer list of length ``num_jobs``
+whose first arrival is at step 0; ``num_jobs=0`` returns ``[]`` so arrival
+counts may themselves be drawn from a distribution.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ __all__ = [
     "poisson_release_times",
     "uniform_release_times",
     "bursty_release_times",
+    "diurnal_release_times",
+    "flash_crowd_release_times",
     "with_release_times",
 ]
 
@@ -342,6 +350,100 @@ def bursty_release_times(
         if gap > 0:
             t += int(rng.integers(max(1, gap // 2), gap + gap // 2 + 1))
     return times
+
+
+def diurnal_release_times(
+    rng: np.random.Generator,
+    num_jobs: int,
+    *,
+    period: int = 240,
+    peak_rate: float = 1.0,
+    trough_rate: float = 0.05,
+) -> list[int]:
+    """Arrivals from a nonhomogeneous Poisson process with a sinusoidal
+    day/night intensity.
+
+    The instantaneous rate swings between ``trough_rate`` and
+    ``peak_rate`` over one ``period`` (the classic diurnal load curve,
+    compressed into virtual steps).  Sampled by thinning a homogeneous
+    ``peak_rate`` process, so the draw is a pure function of the RNG
+    state.  The mode-switch stress: K-RAD rides DEQ through the trough
+    and flips to RR as the peak saturates the machine.
+    """
+    if num_jobs < 0:
+        raise WorkloadError(f"num_jobs must be >= 0, got {num_jobs}")
+    if period < 1:
+        raise WorkloadError(f"period must be >= 1, got {period}")
+    if not 0 < trough_rate <= peak_rate:
+        raise WorkloadError(
+            f"need 0 < trough_rate <= peak_rate; got "
+            f"{trough_rate}, {peak_rate}"
+        )
+    if num_jobs == 0:
+        return []
+    times: list[float] = []
+    t = 0.0
+    two_pi = 2.0 * np.pi
+    while len(times) < num_jobs:
+        t += float(rng.exponential(1.0 / peak_rate))
+        # intensity at the candidate instant, phased so t=0 is a trough
+        lam = trough_rate + (peak_rate - trough_rate) * 0.5 * (
+            1.0 - np.cos(two_pi * t / period)
+        )
+        if rng.random() < lam / peak_rate:
+            times.append(t)
+    out = np.floor(np.asarray(times)).astype(np.int64)
+    out -= out[0]
+    return out.tolist()
+
+
+def flash_crowd_release_times(
+    rng: np.random.Generator,
+    num_jobs: int,
+    *,
+    base_rate: float = 0.1,
+    crowd_fraction: float = 0.6,
+    crowd_width: int = 3,
+    crowd_at: int | None = None,
+) -> list[int]:
+    """A background Poisson trickle with one flash crowd on top.
+
+    ``crowd_fraction`` of the jobs land inside a ``crowd_width``-step
+    window (all of them co-arriving when the width is 0); the rest
+    arrive as a ``base_rate`` Poisson stream.  ``crowd_at`` places the
+    window (default: the middle of the background stream) — the
+    viral-link / breaking-news arrival shape that slams a quiescent
+    system into the heavy regime within a handful of steps.
+    """
+    if num_jobs < 0:
+        raise WorkloadError(f"num_jobs must be >= 0, got {num_jobs}")
+    if base_rate <= 0:
+        raise WorkloadError(f"base_rate must be > 0, got {base_rate}")
+    if not 0.0 <= crowd_fraction <= 1.0:
+        raise WorkloadError(
+            f"crowd_fraction must be in [0, 1], got {crowd_fraction}"
+        )
+    if crowd_width < 0:
+        raise WorkloadError(f"crowd_width must be >= 0, got {crowd_width}")
+    if crowd_at is not None and crowd_at < 0:
+        raise WorkloadError(f"crowd_at must be >= 0, got {crowd_at}")
+    if num_jobs == 0:
+        return []
+    n_crowd = int(round(crowd_fraction * num_jobs))
+    n_base = num_jobs - n_crowd
+    base = poisson_release_times(rng, n_base, rate=base_rate)
+    if crowd_at is None:
+        crowd_at = (max(base) // 2) if base else 0
+    crowd = (
+        rng.integers(
+            crowd_at, crowd_at + crowd_width + 1, size=n_crowd
+        ).tolist()
+        if n_crowd
+        else []
+    )
+    times = np.sort(np.asarray(base + crowd, dtype=np.int64))
+    times -= times[0]
+    return times.tolist()
 
 
 def with_release_times(jobset: JobSet, release_times: Sequence[int]) -> JobSet:

@@ -15,8 +15,6 @@ empirical datum for the paper's concluding open problem.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ScheduleError
@@ -27,23 +25,22 @@ __all__ = ["SpeedAwareClairvoyant"]
 
 
 class SpeedAwareClairvoyant(Scheduler):
-    """Longest *weighted* remaining critical path first, full desire."""
+    """Longest *weighted* remaining critical path first, full desire.
+
+    The weights are the bound machine's ``speeds``
+    (``KResourceMachine(caps, speeds=...)``).
+    """
 
     name = "cv-weighted-cp"
     clairvoyant = True
 
-    def __init__(self, speeds: Sequence[int]) -> None:
-        super().__init__()
-        self._speeds = tuple(int(s) for s in speeds)
-        if any(s < 1 for s in self._speeds):
-            raise ScheduleError(f"speeds must be >= 1, got {self._speeds}")
-
     def _weighted_remaining_span(self, job) -> float:
+        speeds = self.machine.speeds
         if isinstance(job, DagJob):
             # weighted depth over the unexecuted frontier (mirrors
             # DagJob.remaining_span, with 1/s_cat task costs)
             dag = job.dag
-            inv = [1.0 / s for s in self._speeds]
+            inv = [1.0 / s for s in speeds]
             n = dag.num_vertices
             executed = job.executed_mask()
             depth = np.zeros(n, dtype=np.float64)
@@ -61,17 +58,12 @@ class SpeedAwareClairvoyant(Scheduler):
                     if depth[v] > best:
                         best = float(depth[v])
             return best
-        return job.remaining_span() / max(self._speeds)
+        return job.remaining_span() / max(speeds)
 
     def allocate(self, t, desires, jobs=None):
         if jobs is None:
             raise ScheduleError(
                 "SpeedAwareClairvoyant needs job objects (clairvoyant)"
-            )
-        if len(self._speeds) != self.machine.num_categories:
-            raise ScheduleError(
-                f"{len(self._speeds)} speeds for K="
-                f"{self.machine.num_categories}"
             )
         k = self.machine.num_categories
         order = sorted(

@@ -39,7 +39,25 @@ from repro.service.chaos import ChaosConfig, ChaosSchedule
 from repro.service.core import SchedulingService
 from repro.service.queue import FairSubmissionQueue
 
-__all__ = ["ServiceServer", "ThreadedServer"]
+__all__ = ["ServiceServer", "ThreadedServer", "control_endpoint"]
+
+
+def control_endpoint(
+    host: str, port: int | None, unix_path: str | None
+) -> tuple[str, int | None] | str:
+    """The control socket a :class:`ServiceServer` binds: ``unix_path``,
+    else ``(host, port)`` (``port=None`` is ephemeral).
+
+    Refuses ``unix_path`` together with ``port``: one server has one
+    control socket, so the caller must pick TCP or Unix.
+    """
+    if unix_path is not None and port is not None:
+        raise ServiceError(
+            "unix_path and port both bind the control socket; pick TCP "
+            "or Unix, not both"
+        )
+    return unix_path if unix_path is not None else (host, port)
+
 
 #: ops handled inline (no admission queueing)
 _IMMEDIATE_OPS = ("status", "cancel", "stats", "ping", "metrics", "shards")
@@ -53,10 +71,11 @@ class ServiceServer:
     service:
         The service to expose.
     host, port:
-        TCP bind for the control socket (``port=0`` picks an ephemeral
-        port, reported by :attr:`address` after :meth:`start`).
+        TCP bind for the control socket (``port=None`` or ``0`` picks an
+        ephemeral port, reported by :attr:`address` after :meth:`start`).
     unix_path:
-        Bind the control socket to a Unix socket path instead of TCP.
+        Bind the control socket to a Unix socket path instead of TCP;
+        refused together with ``port`` (see :func:`control_endpoint`).
     metrics_port:
         ``None`` disables the HTTP endpoint; ``0`` binds an ephemeral
         port (see :attr:`metrics_address`).
@@ -77,12 +96,13 @@ class ServiceServer:
         service: SchedulingService,
         *,
         host: str = "127.0.0.1",
-        port: int = 0,
+        port: int | None = None,
         unix_path: str | None = None,
         metrics_port: int | None = None,
         tick_interval: float = 0.002,
         chaos: ChaosConfig | ChaosSchedule | None = None,
     ) -> None:
+        control_endpoint(host, port, unix_path)
         self.service = service
         if isinstance(chaos, ChaosConfig):
             chaos = ChaosSchedule(chaos) if chaos.active else None
@@ -118,7 +138,7 @@ class ServiceServer:
             self.address = self._unix_path
         else:
             self._server = await asyncio.start_server(
-                self._handle_conn, host=self._host, port=self._port
+                self._handle_conn, host=self._host, port=self._port or 0
             )
             sock = self._server.sockets[0]
             self.address = sock.getsockname()[:2]

@@ -459,7 +459,8 @@ class ShardedSchedulingService:
         :class:`GlobalAllotter`); its ``journal_path``, when set, is the
         base path — shard ``i`` journals at ``<base>.shard<i>`` and the
         routing table at ``<base>.routing``, so one flag arms durable
-        recovery for the whole fleet.  Every other field applies
+        recovery for the whole fleet.  ``trace_path`` is refused: a
+        trace records one engine's stream.  Every other field applies
         per-shard verbatim.
     num_shards:
         How many shards to run.
@@ -484,6 +485,11 @@ class ShardedSchedulingService:
         if num_shards < 1:
             raise ServiceError(
                 f"num_shards must be >= 1, got {num_shards}"
+            )
+        if config.trace_path is not None:
+            raise ServiceError(
+                "trace_path records one engine's submission stream; a "
+                "sharded service runs one engine per shard"
             )
         self.config = config
         self.num_shards = int(num_shards)

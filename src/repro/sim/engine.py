@@ -1067,7 +1067,10 @@ class Simulator:
             caps_t = self._churn.capacities(t)
             if caps_t != machine.capacities:
                 step_machine = KResourceMachine(
-                    caps_t, names=machine.names, allow_zero=True
+                    caps_t,
+                    names=machine.names,
+                    speeds=machine.speeds,
+                    allow_zero=True,
                 )
             scheduler.rebind(step_machine)
         if caps_t != st.last_caps:

@@ -1,9 +1,8 @@
 """Workload scenarios and the bit-identical trace/replay machinery.
 
-Three layers:
+Three layers (the arrival processes they draw from live in
+:mod:`repro.jobs.workloads`):
 
-* :mod:`repro.workloads.arrivals` — arrival processes (diurnal, flash
-  crowd, plus re-exports of the basic Poisson/uniform/bursty helpers);
 * :mod:`repro.workloads.trace` — the versioned NDJSON workload-trace
   format: a run's submission-side record, loadable, appendable, and
   digestible;
@@ -14,14 +13,6 @@ Three layers:
   heavy-tail, correlated demand, adversarial mix with faults).
 """
 
-from repro.workloads.arrivals import (
-    bursty_release_times,
-    diurnal_release_times,
-    flash_crowd_release_times,
-    poisson_release_times,
-    uniform_release_times,
-    with_release_times,
-)
 from repro.workloads.replay import ReplayOutcome, replay, replay_compare
 from repro.workloads.scenarios import (
     SCENARIOS,
@@ -44,12 +35,6 @@ from repro.workloads.trace import (
 )
 
 __all__ = [
-    "bursty_release_times",
-    "diurnal_release_times",
-    "flash_crowd_release_times",
-    "poisson_release_times",
-    "uniform_release_times",
-    "with_release_times",
     "ReplayOutcome",
     "replay",
     "replay_compare",

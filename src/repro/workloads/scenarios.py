@@ -31,15 +31,15 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.jobs.jobset import JobSet
 from repro.jobs.phase_job import Phase, PhaseJob
-from repro.jobs.workloads import random_phase_job
-from repro.sim.faults import fault_spec
-from repro.workloads.arrivals import (
+from repro.jobs.workloads import (
     bursty_release_times,
     diurnal_release_times,
     flash_crowd_release_times,
     poisson_release_times,
+    random_phase_job,
     uniform_release_times,
 )
+from repro.sim.faults import fault_spec
 from repro.workloads.trace import WorkloadTrace
 
 __all__ = [

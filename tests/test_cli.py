@@ -103,7 +103,7 @@ class TestCliFlagConflicts:
     def test_faults_max_attempts_without_kill_rate(self, capsys):
         assert main(["faults", "--jobs", "3", "--max-attempts", "4"]) == 2
         err = capsys.readouterr().err
-        assert "--max-attempts only governs killed-job retries" in err
+        assert "max_attempts only governs killed-job retries" in err
         assert "Traceback" not in err
 
     def test_supervise_checkpoint_every_without_journal(self, capsys):
@@ -543,9 +543,12 @@ class TestServeCli:
     @pytest.mark.parametrize(
         "argv,fragment",
         [
-            (
+            # where the library's wording replaced the CLI's, the id
+            # keeps naming the flags in conflict
+            pytest.param(
                 ["serve", "--socket", "/tmp/x.sock", "--port", "7000"],
-                "--socket and --port",
+                "unix_path and port",
+                id="argv0---socket and --port",
             ),
             (["serve", "--checkpoint-every", "5"], "--checkpoint-every"),
             (
@@ -556,11 +559,16 @@ class TestServeCli:
                 ["serve", "--churn", "5:0:-1", "--outage", "10:2"],
                 "mutually exclusive",
             ),
-            (
+            pytest.param(
                 ["serve", "--outage", "10:2", "--availability", "0.5"],
-                "--outage and --availability",
+                "outage and availability",
+                id="argv4---outage and --availability",
             ),
-            (["serve", "--max-attempts", "3"], "--max-attempts"),
+            pytest.param(
+                ["serve", "--max-attempts", "3"],
+                "max_attempts",
+                id="argv5---max-attempts",
+            ),
             (["serve", "--step-slice", "0"], "step_slice"),
             (["serve", "--tenant-quota", "0"], "tenant_quota"),
             (["serve", "--shed-horizon", "0"], "shed_horizon"),
@@ -601,7 +609,11 @@ class TestServeCli:
             (["drain"], "where is the service"),
             (["shards", "status", "--connect", "nope"], "HOST:PORT"),
             (["shards", "status"], "where is the service"),
-            (["recover", "x.journal", "--max-attempts", "2"], "--kill-rate"),
+            pytest.param(
+                ["recover", "x.journal", "--max-attempts", "2"],
+                "kill_rate",
+                id="argv22---kill-rate",
+            ),
         ],
     )
     def test_conflicts_exit_2_one_line(self, capsys, argv, fragment):

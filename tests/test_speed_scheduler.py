@@ -17,8 +17,8 @@ class TestSpeedAwareClairvoyant:
         # span than the (longer) cat-1 chain
         slow = DagJob(builders.chain([0] * 6, 2), job_id=0)
         fast = DagJob(builders.chain([1] * 8, 2), job_id=1)
-        machine = KResourceMachine((1, 1))
-        sched = SpeedAwareClairvoyant((1, 4))
+        machine = KResourceMachine((1, 1), speeds=(1, 4))
+        sched = SpeedAwareClairvoyant()
         sched.reset(machine)
         d = {0: np.asarray([1, 0]), 1: np.asarray([0, 1])}
         alloc = sched.allocate(1, d, jobs={0: slow, 1: fast})
@@ -30,8 +30,8 @@ class TestSpeedAwareClairvoyant:
     def test_contended_category_goes_to_heavier_weighted_job(self):
         a = DagJob(builders.chain([0] * 5, 2), job_id=0)  # weighted 5
         b = DagJob(builders.chain([0, 1, 1], 2), job_id=1)  # 1 + 2/4 = 1.5
-        machine = KResourceMachine((1, 2))
-        sched = SpeedAwareClairvoyant((1, 4))
+        machine = KResourceMachine((1, 2), speeds=(1, 4))
+        sched = SpeedAwareClairvoyant()
         sched.reset(machine)
         d = {0: np.asarray([1, 0]), 1: np.asarray([1, 0])}
         alloc = sched.allocate(1, d, jobs={0: a, 1: b})
@@ -40,39 +40,45 @@ class TestSpeedAwareClairvoyant:
 
     def test_requires_jobs(self):
         machine = KResourceMachine((1,))
-        sched = SpeedAwareClairvoyant((1,))
+        sched = SpeedAwareClairvoyant()
         sched.reset(machine)
         with pytest.raises(ScheduleError):
             sched.allocate(1, {0: np.asarray([1])}, jobs=None)
-
-    def test_speed_count_checked(self):
-        machine = KResourceMachine((1, 1))
-        sched = SpeedAwareClairvoyant((1,))
-        sched.reset(machine)
-        with pytest.raises(ScheduleError):
-            sched.allocate(
-                1, {0: np.asarray([1, 0])},
-                jobs={0: DagJob(builders.chain([0], 2))},
-            )
-
-    def test_invalid_speeds(self):
-        with pytest.raises(ScheduleError):
-            SpeedAwareClairvoyant((0,))
 
     def test_end_to_end_on_speed_machine(self, rng):
         machine = KResourceMachine((4, 2), speeds=(1, 4))
         js = workloads.random_dag_jobset(rng, 2, 5, size_hint=10)
         r = simulate(
-            machine, SpeedAwareClairvoyant((1, 4)), js, policy=CP_FIRST
+            machine, SpeedAwareClairvoyant(), js, policy=CP_FIRST
         )
         assert len(r.completion_times) == 5
 
     def test_phase_jobs_use_conservative_weighting(self, rng):
         js = workloads.random_phase_jobset(rng, 2, 4, max_work=10)
-        machine = KResourceMachine((4, 4))
-        sched = SpeedAwareClairvoyant((2, 2))
+        machine = KResourceMachine((4, 4), speeds=(2, 2))
+        sched = SpeedAwareClairvoyant()
         r = simulate(machine, sched, js)
         assert len(r.completion_times) == 4
+
+    def test_churn_window_keeps_machine_speeds(self, rng):
+        from repro.machine.churn import ChurnEvent, ChurnSchedule
+
+        seen = []
+
+        class Recording(SpeedAwareClairvoyant):
+            def allocate(self, t, desires, jobs=None):
+                seen.append((self.machine.capacities, self.machine.speeds))
+                return super().allocate(t, desires, jobs)
+
+        machine = KResourceMachine((4, 2), speeds=(1, 4))
+        churn = ChurnSchedule(
+            machine.capacities,
+            [ChurnEvent(step=2, category=0, delta=-2, duration=3)],
+        )
+        js = workloads.random_dag_jobset(rng, 2, 5, size_hint=10)
+        simulate(machine, Recording(), js, policy=CP_FIRST, churn=churn)
+        assert (2, 2) in {caps for caps, _ in seen}  # the window was live
+        assert {speeds for _, speeds in seen} == {(1, 4)}
 
 
 class TestHuntUnit:

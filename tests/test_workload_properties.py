@@ -1,10 +1,9 @@
 """Property tests for every release-time generator.
 
-The release-time contract (shared by :mod:`repro.jobs.workloads` and
-:mod:`repro.workloads.arrivals`): given any seed and any valid
-parameters, a generator returns a sorted, non-negative integer list of
-exactly ``num_jobs`` arrivals whose first element is 0, and
-``num_jobs=0`` returns ``[]``.  Hypothesis explores the parameter space
+The release-time contract of :mod:`repro.jobs.workloads`: given any
+seed and any valid parameters, a generator returns a sorted,
+non-negative integer list of exactly ``num_jobs`` arrivals whose first
+element is 0, and ``num_jobs=0`` returns ``[]``.  Hypothesis explores the parameter space
 so the edge cases (single job, empty draw, tiny rates, zero gaps/widths)
 are covered by search rather than by hand-picked examples.
 """
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.arrivals import (
+from repro.jobs.workloads import (
     bursty_release_times,
     diurnal_release_times,
     flash_crowd_release_times,
