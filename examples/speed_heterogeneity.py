@@ -24,8 +24,8 @@ from repro.analysis import format_table
 from repro.dag import dag_stats
 from repro.jobs import workloads
 from repro.machine import KResourceMachine
-from repro.perf import speed_makespan_lower_bound
 from repro.sim import simulate
+from repro.theory import makespan_lower_bound
 
 
 def main() -> None:
@@ -51,7 +51,7 @@ def main() -> None:
     for label, speeds in profiles.items():
         machine = KResourceMachine(caps, names=names, speeds=speeds)
         result = simulate(machine, KRad(), jobset)
-        lb = speed_makespan_lower_bound(jobset, machine)
+        lb = makespan_lower_bound(jobset, machine)
         if base_makespan is None:
             base_makespan = result.makespan
         rows.append(

@@ -37,7 +37,6 @@ from repro import (
     io,
     jobs,
     machine,
-    perf,
     schedulers,
     service,
     sim,
@@ -93,7 +92,6 @@ __all__ = [
     "io",
     "jobs",
     "machine",
-    "perf",
     "schedulers",
     "service",
     "sim",

@@ -3,8 +3,8 @@
 Registry of raceable policies over the :class:`~repro.schedulers.base.
 Scheduler` ABC, a tournament harness producing empirical
 competitive-ratio leaderboards against the paper's certified lower
-bounds, and a gym-style MDP environment so learned policies can train
-and enter.  See ``docs/ARENA.md``.
+bounds, and an observation/action policy adapter so any
+:class:`~repro.arena.env.RolloutPolicy` can enter.  See ``docs/ARENA.md``.
 """
 
 from repro.arena.env import (
@@ -12,9 +12,7 @@ from repro.arena.env import (
     Observation,
     PolicyScheduler,
     RolloutPolicy,
-    SchedulingEnv,
     clip_action,
-    rollout,
 )
 from repro.arena.leaderboard import (
     Leaderboard,
@@ -45,7 +43,6 @@ __all__ = [
     "Observation",
     "PolicyScheduler",
     "RolloutPolicy",
-    "SchedulingEnv",
     "arena_policies_for",
     "arena_policy_names",
     "certified_scenario_names",
@@ -54,7 +51,6 @@ __all__ = [
     "get_policy",
     "load_leaderboard",
     "register_policy",
-    "rollout",
     "run_cross_engine_tournament",
     "run_tournament",
 ]

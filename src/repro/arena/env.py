@@ -1,15 +1,14 @@
-"""Gym-style MDP wrapper around the desire/allotment scheduling loop.
+"""Observation/action policies over the desire/allotment scheduling loop.
 
 Framing follows the CRM task-scheduling environments (PAPERS.md): the
 scheduling problem becomes a sequential decision process whose state is
 the released-but-unfinished job set and whose action is this step's
-allotment matrix.  :class:`SchedulingEnv` exposes the classic
-``reset() -> obs`` / ``step(action) -> (obs, reward, done, info)``
-surface so learned or tree-search policies can be trained against it,
-and :class:`PolicyScheduler` adapts any such policy back into the
-repo's :class:`~repro.schedulers.base.Scheduler` ABC so it can enter
-the tournament (and run on either engine) like any hand-written
-scheduler.
+allotment matrix.  A :class:`RolloutPolicy` maps an :class:`Observation`
+to an action, and :class:`PolicyScheduler` adapts any such policy into
+the repo's :class:`~repro.schedulers.base.Scheduler` ABC, so it enters
+the tournament and runs on either engine, with speeds, churn, faults
+and journals, like any hand-written scheduler.  There is no separate
+environment step loop: an episode is a :func:`~repro.sim.simulate` run.
 
 * **Observation** (:class:`Observation`): the current step, the
   released jobs' ids and desire matrix (row per job, column per
@@ -22,13 +21,6 @@ scheduler.
   earlier arrivals keep their grant — FIFO tie-breaking), then the
   result is asserted feasible via
   :func:`~repro.schedulers.base.check_allotments`.
-* **Reward**: ``-(number of released, unfinished jobs)`` after the
-  step — the per-step increment of total response time, so maximising
-  return minimises mean response time.
-
-The env is fault-free and deterministic in its seed: one episode on a
-scenario job set is exactly the schedule the same policy produces
-through :class:`PolicyScheduler` on the fault-free engines.
 """
 
 from __future__ import annotations
@@ -38,19 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.jobs.jobset import JobSet
-from repro.jobs.policies import FifoOrder
 from repro.machine.machine import KResourceMachine
 from repro.schedulers.base import Scheduler, check_allotments
 
 __all__ = [
     "Observation",
-    "SchedulingEnv",
     "clip_action",
     "RolloutPolicy",
     "GreedyRolloutPolicy",
     "PolicyScheduler",
-    "rollout",
 ]
 
 
@@ -134,10 +122,10 @@ def clip_action(
 
 
 class RolloutPolicy:
-    """Protocol for env policies: a name and ``act(obs) -> action``.
+    """Protocol for arena policies: a name and ``act(obs) -> action``.
 
-    ``act`` may return any ``n x K`` matrix (or sparse mapping); the env
-    and :class:`PolicyScheduler` clip it to feasibility.  Policies must
+    ``act`` may return any ``n x K`` matrix (or sparse mapping);
+    :class:`PolicyScheduler` clips it to feasibility.  Policies must
     be deterministic functions of the observation (plus any internal
     seeded state) so tournament cells stay reproducible.
     """
@@ -169,7 +157,7 @@ class GreedyRolloutPolicy(RolloutPolicy):
 class PolicyScheduler(Scheduler):
     """Adapter: any :class:`RolloutPolicy` becomes a tournament entry.
 
-    Builds the same :class:`Observation` the env would show (the
+    Builds the step's :class:`Observation` (the
     backlog vector needs remaining work, hence ``clairvoyant = True`` —
     the policy itself still only sees desires + backlog), asks the
     policy to act, and clips the action to feasibility.  Stateless as a
@@ -207,163 +195,3 @@ class PolicyScheduler(Scheduler):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PolicyScheduler({self.policy.name!r})"
-
-
-class SchedulingEnv:
-    """Fault-free episodic environment over one job set.
-
-    The step loop mirrors the reference engine's fault-free path: idle
-    gaps fast-forward, arrivals with ``release < t`` join the live set,
-    the action executes one unit step on every live job, completions
-    leave.  An episode ends when every job has finished; the negative
-    return is the total response time the policy's schedule incurred.
-    """
-
-    def __init__(
-        self,
-        machine: KResourceMachine,
-        jobset: JobSet,
-        *,
-        seed: int | None = None,
-        policy: FifoOrder | None = None,
-    ) -> None:
-        if jobset.num_categories != machine.num_categories:
-            raise ScheduleError(
-                f"job set K={jobset.num_categories} != machine "
-                f"K={machine.num_categories}"
-            )
-        if len(jobset) == 0:
-            raise ScheduleError("SchedulingEnv needs a non-empty job set")
-        self.machine = machine
-        self._template = jobset
-        self._seed = seed
-        self._exec_policy = policy or FifoOrder()
-        self._rng: np.random.Generator | None = None
-        self._live: dict = {}
-        self._pending: list = []
-        self._completions: dict[int, int] = {}
-        self._releases: dict[int, int] = {}
-        self.t = 0
-        self.done = True
-
-    # ------------------------------------------------------------------
-    def reset(self) -> Observation:
-        """Start a fresh episode; returns the first observation."""
-        jobset = self._template.fresh_copy()
-        self._rng = np.random.default_rng(self._seed)
-        self._pending = sorted(
-            jobset.jobs, key=lambda j: (j.release_time, j.job_id)
-        )
-        self._releases = {
-            j.job_id: int(j.release_time) for j in self._pending
-        }
-        self._live = {}
-        self._completions = {}
-        self.t = 0
-        self.done = False
-        self._advance_clock()
-        return self._observe()
-
-    def _advance_clock(self) -> None:
-        """Move to the next step with live work (idle fast-forward)."""
-        if self._live:
-            self.t += 1
-        elif self._pending:
-            self.t = max(self.t + 1, self._pending[0].release_time + 1)
-        self._admit()
-
-    def _admit(self) -> None:
-        while self._pending and self._pending[0].release_time < self.t:
-            job = self._pending.pop(0)
-            self._live[job.job_id] = job
-
-    def _observe(self) -> Observation:
-        k = self.machine.num_categories
-        ids = tuple(self._live)
-        mat = np.zeros((len(ids), k), dtype=np.int64)
-        backlog = np.zeros(k, dtype=np.int64)
-        for i, jid in enumerate(ids):
-            mat[i] = self._live[jid].desire_vector()
-            backlog += self._live[jid].remaining_work_vector()
-        return Observation(
-            t=self.t,
-            job_ids=ids,
-            desires=mat,
-            backlog=backlog,
-            capacities=tuple(self.machine.capacities),
-        )
-
-    def step(
-        self, action: np.ndarray | dict[int, np.ndarray]
-    ) -> tuple[Observation, float, bool, dict]:
-        """Apply one (clipped) allotment matrix; advance one step."""
-        if self.done:
-            raise ScheduleError("episode is done; call reset()")
-        desires = {
-            jid: job.desire_vector() for jid, job in self._live.items()
-        }
-        alloc = clip_action(self.machine, desires, action)
-        for jid, job in list(self._live.items()):
-            a = alloc.get(jid)
-            if a is not None and a.any():
-                job.execute(a, self._exec_policy, self._rng)
-            if job.is_complete:
-                self._completions[jid] = self.t
-                del self._live[jid]
-        self.done = not self._live and not self._pending
-        reward = -float(len(self._live))
-        if not self.done:
-            self._advance_clock()
-        info = {
-            "t": self.t,
-            "completed": dict(self._completions),
-            "allotments": alloc,
-        }
-        return self._observe(), reward, self.done, info
-
-    # ------------------------------------------------------------------
-    @property
-    def makespan(self) -> int:
-        """Completion step of the last job (valid once ``done``)."""
-        if not self._completions:
-            return 0
-        return max(self._completions.values())
-
-    @property
-    def mean_response_time(self) -> float:
-        """Mean of ``completion - release`` over finished jobs."""
-        if not self._completions:
-            return 0.0
-        total = sum(
-            c - self._releases[jid] for jid, c in self._completions.items()
-        )
-        return total / len(self._completions)
-
-
-def rollout(
-    env: SchedulingEnv, policy: RolloutPolicy, *, max_steps: int = 100_000
-) -> dict:
-    """Run one full episode of ``policy`` on ``env``.
-
-    Returns ``{"return", "steps", "makespan", "mean_response_time"}``.
-    Raises :class:`ScheduleError` if the episode does not finish within
-    ``max_steps`` (a policy that never makes progress would otherwise
-    spin forever — the env, unlike the engines, has no work-conservation
-    watchdog).
-    """
-    obs = env.reset()
-    total = 0.0
-    for step in range(1, max_steps + 1):
-        obs, reward, done, _ = env.step(policy.act(obs))
-        total += reward
-        if done:
-            return {
-                "return": total,
-                "steps": step,
-                "makespan": env.makespan,
-                "mean_response_time": env.mean_response_time,
-            }
-    raise ScheduleError(
-        f"episode did not finish within {max_steps} steps; "
-        f"{len(env._live)} jobs still live"
-    )

@@ -10,10 +10,10 @@ predicate for policies with structural preconditions (RAD is defined
 for K = 1 only, so it sits out multi-category grids instead of
 erroring them).
 
-Env policies enter through the same door: ``env-greedy`` is a
-:class:`~repro.arena.env.PolicyScheduler` wrapping
-:class:`~repro.arena.env.GreedyRolloutPolicy`, proving the MDP-side
-path into the tournament.  ``register_policy`` admits external
+Observation/action policies enter through the same door: ``env-greedy``
+is a :class:`~repro.arena.env.PolicyScheduler` wrapping
+:class:`~repro.arena.env.GreedyRolloutPolicy`, proving that path into
+the tournament.  ``register_policy`` admits external
 entries — a learned policy wrapped in ``PolicyScheduler`` registers in
 one line.
 """
@@ -106,7 +106,7 @@ ARENA_POLICIES: dict[str, ArenaPolicy] = {
         ArenaPolicy(
             name="env-greedy",
             factory=lambda: PolicyScheduler(GreedyRolloutPolicy()),
-            notes="greedy rollout policy through the MDP env adapter",
+            notes="greedy rollout policy through the PolicyScheduler adapter",
             tags=("env",),
         ),
     )

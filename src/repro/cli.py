@@ -1849,12 +1849,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{key:8s} {_DESCRIPTIONS.get(key, '')}")
         return 0
 
-    if args.engine is not None:
-        # experiments call simulate() internally; the flag routes every
-        # run of this invocation through the chosen engine
-        from repro.sim.engine import set_default_engine
-
-        set_default_engine(args.engine)
     if target != "ALL" and target not in REGISTRY:
         print(
             f"unknown experiment {args.experiment!r}; try 'krad list'",
@@ -1863,6 +1857,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     obs = _install_obs(args)
+    # experiments call simulate() internally; --engine routes every run
+    # of this invocation through the chosen engine, and only this one
+    from repro.sim.engine import get_default_engine, set_default_engine
+
+    previous_engine = get_default_engine()
+    if args.engine is not None:
+        set_default_engine(args.engine)
     try:
         keys = sorted(REGISTRY) if target == "ALL" else [target]
         ok = all([_run_one(key, args) for key in keys])
@@ -1873,6 +1874,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         _abort_obs()
         raise
+    finally:
+        set_default_engine(previous_engine)
     if _finish_obs(obs, args, "krad"):
         return 2
     return 0 if ok else 1

@@ -3,7 +3,7 @@
 Runs speed-oblivious K-RAD on machines whose categories differ in *both*
 function and speed, and measures its makespan against the generalised
 lower-bound certificate (work/throughput and weighted span — see
-:mod:`repro.perf.bounds`).
+:func:`repro.theory.bounds.makespan_lower_bound`).
 
 Checks:
 
@@ -23,10 +23,9 @@ from repro.analysis.sweeps import grid, run_sweep
 from repro.analysis.tables import format_table
 from repro.jobs import workloads
 from repro.machine.machine import KResourceMachine
-from repro.perf.bounds import speed_makespan_lower_bound
 from repro.schedulers.krad import KRad
 from repro.sim.engine import simulate
-from repro.theory.bounds import theorem3_ratio
+from repro.theory.bounds import makespan_lower_bound, theorem3_ratio
 from repro.experiments.common import ExperimentReport
 
 __all__ = ["run"]
@@ -51,7 +50,7 @@ def run(*, seed: int = 0, repeats: int = 3, n_jobs: tuple[int, ...] = (6, 12)) -
             rng, machine.num_categories, params["n_jobs"], size_hint=15
         )
         result = simulate(machine, KRad(), js)
-        lb = speed_makespan_lower_bound(js, machine)
+        lb = makespan_lower_bound(js, machine)
         limit = theorem3_ratio(machine.num_categories, max(caps))
         row = {
             "speeds": str(speeds),
@@ -77,8 +76,10 @@ def run(*, seed: int = 0, repeats: int = 3, n_jobs: tuple[int, ...] = (6, 12)) -
     # the weighted priority can even lose — evidence the paper's open
     # problem needs more than a priority tweak.
     from repro.jobs.policies import CP_FIRST
-    from repro.perf.scheduler import SpeedAwareClairvoyant
-    from repro.schedulers.clairvoyant import ClairvoyantCriticalPath
+    from repro.schedulers.clairvoyant import (
+        ClairvoyantCriticalPath,
+        SpeedAwareClairvoyant,
+    )
 
     aware_caps, aware_speeds = (4, 2), (1, 4)
     aware_machine = KResourceMachine(aware_caps, speeds=aware_speeds)

@@ -1,7 +1,11 @@
 """Schedulers: K-RAD (the contribution) and the baseline zoo."""
 
 from repro.schedulers.base import Scheduler, check_allotments
-from repro.schedulers.clairvoyant import ClairvoyantCriticalPath, ClairvoyantSrpt
+from repro.schedulers.clairvoyant import (
+    ClairvoyantCriticalPath,
+    ClairvoyantSrpt,
+    SpeedAwareClairvoyant,
+)
 from repro.schedulers.deq import KDeq, deq_allocate
 from repro.schedulers.equi import Equi
 from repro.schedulers.greedy import GreedyFcfs
@@ -33,6 +37,7 @@ __all__ = [
     "StaticPartition",
     "KRoundRobin",
     "Setf",
+    "SpeedAwareClairvoyant",
 ]
 
 _REGISTRY = {

@@ -547,8 +547,9 @@ class Watchdog:
     * a **hang** (``hang_probes`` consecutive probe failures while the
       process is alive, after a ``grace_s`` startup window for journal
       replay) gets the process killed and restarted;
-    * a restart that does not pass a probe within ``recovery_deadline_s``
-      counts as failed and consumes another restart.
+    * a restart that does not pass a probe within ``recovery_deadline_s``,
+      or exits before it does, counts as failed and consumes another
+      restart; an initial start that fails either way ends supervision.
 
     ``on_event(kind, detail)`` receives a human-readable stream
     (``spawn``/``crash``/``hang``/``restart``/``giveup``/``exit``) the
@@ -593,31 +594,32 @@ class Watchdog:
         if self._on_event is not None:
             self._on_event(kind, detail)
 
-    def _await_recovery(self) -> bool:
+    def _await_recovery(self, proc) -> str | None:
         """Probe until the fresh process answers, bounded by the
-        recovery deadline.  True once it responds."""
+        recovery deadline.  None once it responds; otherwise why it
+        never will: it exited first, or the deadline ran out."""
         deadline = self._clock() + self.recovery_deadline_s
         while self._clock() < deadline:
             if self._probe():
-                return True
+                return None
+            rc = proc.poll()
+            if rc is not None:
+                return f"exited with code {rc} before answering"
             self._sleep(self.probe_interval_s)
-        return False
+        return f"missed the {self.recovery_deadline_s:.0f}s recovery deadline"
 
     def run(self) -> int:
         """Supervise until a clean exit or the restart budget runs out.
 
         Returns the serving process's final exit code, or 3 when the
-        watchdog gave up (restart budget exhausted or a restart missed
-        its recovery deadline with no budget left).
+        watchdog gave up (the initial start never answered, the restart
+        budget is exhausted, or a restart failed with no budget left).
         """
         proc = self._spawn()
         self._event("spawn", "serving process started")
-        if not self._await_recovery():
-            self._event(
-                "giveup",
-                f"initial start missed the {self.recovery_deadline_s:.0f}s "
-                "recovery deadline",
-            )
+        failed = self._await_recovery(proc)
+        if failed is not None:
+            self._event("giveup", f"initial start {failed}")
             try:
                 proc.kill()
             except Exception:  # noqa: BLE001 - already-dead race
@@ -663,8 +665,7 @@ class Watchdog:
 
     def _restart(self, why: str) -> bool:
         """One supervised restart.  False when the budget is exhausted
-        or the replacement missed its recovery deadline with no budget
-        left to try again."""
+        or the replacement failed with no budget left to try again."""
         while True:
             if self.restarts >= self.max_restarts:
                 self._event(
@@ -680,16 +681,14 @@ class Watchdog:
                 f"({self.restarts}/{self.max_restarts})",
             )
             self._last_proc = self._spawn()
-            if self._await_recovery():
+            failed = self._await_recovery(self._last_proc)
+            if failed is None:
                 self._event(
                     "spawn",
                     "replacement answered within the recovery deadline",
                 )
                 return True
-            why = (
-                f"replacement missed the {self.recovery_deadline_s:.0f}s "
-                "recovery deadline"
-            )
+            why = f"replacement {failed}"
             try:
                 self._last_proc.kill()
             except Exception:  # noqa: BLE001 - already-dead race

@@ -19,11 +19,11 @@ Two layers:
 * :class:`RoutingTable` — the *explicit* record.  The ring answers
   "where would this tenant go?"; the table answers "where did we
   actually put it", including failover reassignments that override the
-  ring.  Every decision is appended to a routing journal (NDJSON, one
-  record per line, fsync'd) so a crashed router recovers the exact
-  table — a tenant must never silently change shards across a restart,
-  or its jobs would split across two engines and both digests would be
-  garbage.
+  ring.  Every decision is appended to a routing journal (the engine's
+  CRC-framed :class:`~repro.sim.journal.Journal`, fsync'd) so a crashed
+  router recovers the exact table — a tenant must never silently change
+  shards across a restart, or its jobs would split across two engines
+  and both digests would be garbage.
 
 :class:`ShardedClient` applies the same routing client-side for the
 process-per-shard deployment (N independent ``krad serve`` daemons, one
@@ -34,12 +34,12 @@ the owning shard, no proxy hop on the submit path.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from bisect import bisect_right
 from typing import Iterable
 
-from repro.errors import ServiceError
+from repro.errors import JournalError, ServiceError
+from repro.sim.journal import Journal, JournalRecord, read_journal
 
 __all__ = [
     "ConsistentHashRing",
@@ -47,8 +47,9 @@ __all__ = [
     "ShardedClient",
 ]
 
-#: routing journal format version
-ROUTING_VERSION = 1
+#: routing journal format version; version 2 frames every record with
+#: repro.sim.journal (sequence number and CRC)
+ROUTING_VERSION = 2
 
 
 def _stable_hash(key: str) -> int:
@@ -126,6 +127,10 @@ class RoutingTable:
     over, never tenants that merely *would* hash elsewhere on the new
     ring.  ``journal_path=None`` keeps the table in memory only (tests,
     transient topologies).
+
+    The journal is a :class:`~repro.sim.journal.Journal`: a ``meta``
+    header pinning the ring, then ``assign``, ``failover`` and ``revive``
+    records, each framed with a sequence number and CRC and fsync'd.
     """
 
     def __init__(
@@ -145,40 +150,35 @@ class RoutingTable:
         self.failovers = 0
         #: tenants moved by failovers: {tenant: destination shard}
         self.failover_moves: dict[str, int] = {}
-        self.journal_path = journal_path
-        self.fsync = bool(fsync)
-        self._fh = None
+        self._journal = None
         if journal_path is not None:
-            fresh = (
-                not os.path.exists(journal_path)
-                or os.path.getsize(journal_path) == 0
-            )
-            self._fh = open(journal_path, "a", encoding="utf-8")
-            if fresh:
-                self._append(
-                    {
-                        "v": ROUTING_VERSION,
-                        "op": "init",
-                        "num_shards": self.num_shards,
-                        "replicas": self.ring.replicas,
-                    }
+            if os.path.exists(journal_path) and os.path.getsize(journal_path):
+                raise ServiceError(
+                    f"routing journal {journal_path!r} already exists; "
+                    "open it with RoutingTable.load"
                 )
+            self._journal = Journal(journal_path, fsync=fsync)
+            self._append(
+                "meta",
+                {
+                    "version": ROUTING_VERSION,
+                    "num_shards": self.num_shards,
+                    "replicas": self.ring.replicas,
+                },
+            )
 
     # ------------------------------------------------------------------
     # journal plumbing
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+    def _append(self, rtype: str, data: dict) -> None:
+        if self._journal is not None:
+            self._journal.append(rtype, data)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Stop journaling; the in-memory table keeps routing."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     @classmethod
     def load(
@@ -188,87 +188,69 @@ class RoutingTable:
 
         The header pins ``num_shards``/``replicas`` so the replayed ring
         is identical; ``assign``/``failover``/``revive`` records replay
-        in order.  A torn trailing line (crash mid-append) is tolerated
-        — and physically truncated, the same contract
-        :func:`repro.sim.journal.read_journal` extends, so the next
-        append starts on a record boundary instead of concatenating onto
-        the partial line — but a malformed record *before* an intact one
-        raises loudly.
+        in order.  Framing is :func:`repro.sim.journal.read_journal`'s:
+        a torn final record (crash mid-append) is dropped and physically
+        truncated, so the next append starts on a record boundary, but a
+        bad record *before* an intact one, a malformed record, or a file
+        without a version-2 header raises :class:`ServiceError` and
+        leaves the file as it was.
         """
-        with open(journal_path, "rb") as fh:
-            raw = fh.read()
-        if not raw:
+        try:
+            records, valid_bytes, clean = read_journal(journal_path)
+        except JournalError as exc:
+            raise ServiceError(f"routing journal: {exc}") from None
+        head = records[0].data if records and records[0].type == "meta" else {}
+        if not (
+            isinstance(head, dict)
+            and head.get("version") == ROUTING_VERSION
+            and type(head.get("num_shards")) is int
+            and type(head.get("replicas")) is int
+        ):
             raise ServiceError(
-                f"routing journal {journal_path!r} is empty"
+                f"routing journal {journal_path!r} has no valid "
+                f"version-{ROUTING_VERSION} header"
             )
-        records: list[dict] = []
-        valid_bytes = 0
-        pos = 0
-        line_no = 0
-        while pos < len(raw):
-            nl = raw.find(b"\n", pos)
-            line_no += 1
-            if nl == -1:
-                # Unterminated tail: the crash hit before the record's
-                # newline — and therefore before its fsync — landed.
-                break
-            try:
-                records.append(json.loads(raw[pos:nl].decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                if nl == len(raw) - 1:
-                    break  # torn final line: crash mid-append, tolerated
-                raise ServiceError(
-                    f"routing journal {journal_path!r} is corrupt at "
-                    f"line {line_no} (intact records follow)"
-                ) from None
-            pos = nl + 1
-            valid_bytes = pos
-        if not records:
-            raise ServiceError(
-                f"routing journal {journal_path!r} has no valid header"
-            )
-        head = records[0]
-        if head.get("op") != "init" or head.get("v") != ROUTING_VERSION:
-            raise ServiceError(
-                f"routing journal {journal_path!r} has no valid header"
-            )
-        table = cls.__new__(cls)
-        table.ring = ConsistentHashRing(
-            int(head["num_shards"]), replicas=int(head["replicas"])
-        )
-        table.num_shards = table.ring.num_shards
-        table.assignments = {}
-        table.dead = set()
-        table.failovers = 0
-        table.failover_moves = {}
-        table.journal_path = journal_path
-        table.fsync = bool(fsync)
-        table._fh = None
+        table = cls(head["num_shards"], replicas=head["replicas"])
         for rec in records[1:]:
-            op = rec.get("op")
-            if op == "assign":
-                table.assignments[str(rec["tenant"])] = int(rec["shard"])
-            elif op == "failover":
-                table.dead.add(int(rec["shard"]))
-                table.failovers += 1
-                for tenant, dst in rec.get("moves", {}).items():
-                    table.assignments[str(tenant)] = int(dst)
-                    table.failover_moves[str(tenant)] = int(dst)
-            elif op == "revive":
-                table.dead.discard(int(rec["shard"]))
-            else:
-                raise ServiceError(
-                    f"routing journal {journal_path!r}: unknown record "
-                    f"op {op!r}"
-                )
-        if valid_bytes < len(raw):
-            # Cut the torn tail off *before* reopening for append — a
-            # new record concatenated onto the partial line would drop
-            # (or corrupt past repair) the fsync'd history after it.
+            table._replay(rec, journal_path)
+        if not clean:
             with open(journal_path, "r+b") as fh:
                 fh.truncate(valid_bytes)
-        table._fh = open(journal_path, "a", encoding="utf-8")
+        table._journal = Journal(
+            journal_path, fsync=fsync, start_seq=len(records)
+        )
         return table
+
+    def _replay(self, rec: JournalRecord, journal_path: str) -> None:
+        """Apply one journaled routing record, refusing a malformed one."""
+        data = rec.data if isinstance(rec.data, dict) else {}
+        shard = data.get("shard")
+        tenant = data.get("tenant") if rec.type == "assign" else "-"
+        moves = data.get("moves") if rec.type == "failover" else {}
+        if not (
+            rec.type in ("assign", "failover", "revive")
+            and self._is_shard(shard)
+            and isinstance(tenant, str)
+            and tenant
+            and isinstance(moves, dict)
+            and all(t and self._is_shard(s) for t, s in moves.items())
+        ):
+            raise ServiceError(
+                f"routing journal {journal_path!r}: malformed "
+                f"{rec.type!r} record at seq {rec.seq}: {rec.data!r}"
+            )
+        if rec.type == "assign":
+            self.assignments[tenant] = shard
+        elif rec.type == "failover":
+            self.dead.add(shard)
+            self.failovers += 1
+            self.assignments.update(moves)
+            self.failover_moves.update(moves)
+        else:
+            self.dead.discard(shard)
+
+    def _is_shard(self, value) -> bool:
+        return type(value) is int and 0 <= value < self.num_shards
 
     # ------------------------------------------------------------------
     # routing
@@ -282,7 +264,7 @@ class RoutingTable:
             return shard
         shard = self.ring.shard_for(tenant, exclude=self.dead)
         self.assignments[tenant] = shard
-        self._append({"op": "assign", "tenant": tenant, "shard": shard})
+        self._append("assign", {"tenant": tenant, "shard": shard})
         return shard
 
     def peek(self, tenant: str) -> int:
@@ -327,9 +309,7 @@ class RoutingTable:
         self.assignments.update(moves)
         self.failovers += 1
         self.failover_moves.update(moves)
-        self._append(
-            {"op": "failover", "shard": shard, "moves": moves}
-        )
+        self._append("failover", {"shard": shard, "moves": moves})
         return moves
 
     def revive(self, shard: int) -> None:
@@ -338,7 +318,7 @@ class RoutingTable:
         shard = int(shard)
         if shard in self.dead:
             self.dead.discard(shard)
-            self._append({"op": "revive", "shard": shard})
+            self._append("revive", {"shard": shard})
 
     def to_dict(self) -> dict:
         return {

@@ -22,12 +22,14 @@ Record stream of one run::
                 digest is a CRC of the engine's post-step state
     end         final digest + makespan (a journal without one is a crash)
 
-Only the records that make a promise are fsync'd: ``meta``,
-``checkpoint``, ``submit``, ``cancel`` and ``end``.  A ``step`` record is
-written and flushed, and the next fsync makes it durable too, since fsync
-covers the whole file.  A submission is therefore on disk before it is
-acknowledged, and a power cut loses at most the unacknowledged steps since
-the last fsync, which recovery re-executes.
+Every record except ``step`` is fsync'd: those are the records that make
+a promise (here ``meta``, ``checkpoint``, ``submit``, ``cancel`` and
+``end``; the service's routing table writes its ``meta``, ``assign``,
+``failover`` and ``revive`` records through the same class).  A ``step``
+record is written and flushed, and the next fsync makes it durable too,
+since fsync covers the whole file.  A submission is therefore on disk
+before it is acknowledged, and a power cut loses at most the
+unacknowledged steps since the last fsync, which recovery re-executes.
 
 Recovery (:meth:`repro.sim.engine.Simulator.recover`) replays the journal:
 fold the checkpoint-delta records onto the last full checkpoint, restore
@@ -54,10 +56,6 @@ __all__ = ["Journal", "JournalRecord", "read_journal", "state_digest"]
 #: checkpoint-delta, and its step digests cover a history CRC instead of
 #: the history maps; a version-2 journal's records read differently
 JOURNAL_VERSION = 3
-
-#: record types fsync'd on append: the ones an acknowledgement or a
-#: recovery depends on (``step`` records ride on the next fsync)
-_DURABLE_TYPES = frozenset({"meta", "checkpoint", "submit", "cancel", "end"})
 
 logger = logging.getLogger("repro.sim.journal")
 
@@ -97,11 +95,10 @@ class Journal:
         values bound replay work after a crash at the cost of journal
         size.
     fsync:
-        Fsync after every ``meta``, ``checkpoint``, ``submit``,
-        ``cancel`` and ``end`` record (default); ``step`` records become
-        durable with the next of those.  Disable only for runs whose
-        journal is merely diagnostic — a non-fsync'd journal can lose an
-        arbitrary suffix on power failure.
+        Fsync after every record except ``step`` (default); ``step``
+        records become durable with the next fsync'd one.  Disable only
+        for runs whose journal is merely diagnostic — a non-fsync'd
+        journal can lose an arbitrary suffix on power failure.
     start_seq:
         Sequence number of the last already-present record (resume).
     """
@@ -159,7 +156,7 @@ class Journal:
             + b"}\n"
         )
         self._fh.flush()
-        if rtype not in _DURABLE_TYPES:
+        if rtype == "step":  # rides on the next fsync
             return seq
         if self._fsync:
             os.fsync(self._fh.fileno())

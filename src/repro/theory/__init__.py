@@ -2,6 +2,7 @@
 
 from repro.theory.bounds import (
     EDMONDS_EQUI_RATIO,
+    job_weighted_span,
     k1_mean_response_ratio,
     lemma2_bound,
     makespan_lower_bound,
@@ -12,6 +13,7 @@ from repro.theory.bounds import (
     theorem5_total_rt_bound,
     theorem6_ratio,
     total_response_lower_bound,
+    weighted_span,
 )
 from repro.theory.lemma2_certify import Lemma2Certificate, certify_lemma2
 from repro.theory.optimal import optimal_makespan_exact
@@ -46,6 +48,7 @@ from repro.theory.verify import (
 
 __all__ = [
     "EDMONDS_EQUI_RATIO",
+    "job_weighted_span",
     "k1_mean_response_ratio",
     "lemma2_bound",
     "makespan_lower_bound",
@@ -56,6 +59,7 @@ __all__ = [
     "theorem5_total_rt_bound",
     "theorem6_ratio",
     "total_response_lower_bound",
+    "weighted_span",
     "aggregate_span",
     "check_lemma4",
     "lemma4_rhs",

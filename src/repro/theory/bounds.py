@@ -5,19 +5,32 @@ ratio in this repository divides the measured objective by the paper's own
 *lower-bound certificates* — the same quantities the proofs compare against.
 That makes every measured ratio an **upper bound** on the true competitive
 ratio, so "measured ratio <= theorem ratio" is a sound check.
+
+The makespan certificate also holds on a machine with per-category speeds
+(``KResourceMachine(caps, speeds=...)``, the performance-heterogeneity
+extension); the other bounds are the paper's unit-speed results and refuse
+such a machine with a :class:`~repro.errors.ReproError` rather than return
+an unsound number.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.dag.kdag import KDag
 from repro.errors import ReproError
+from repro.jobs.base import Job
+from repro.jobs.dag_job import DagJob
 from repro.jobs.jobset import JobSet
 from repro.machine.machine import KResourceMachine
 from repro.theory.squashed import squashed_work_areas
 
 __all__ = [
     "makespan_lower_bound",
+    "weighted_span",
+    "job_weighted_span",
     "time_expanded_lower_bound",
     "total_response_lower_bound",
     "mean_response_lower_bound",
@@ -45,22 +58,98 @@ def _check(jobset: JobSet, machine: KResourceMachine) -> None:
         )
 
 
+def _check_unit_speeds(
+    jobset: JobSet, machine: KResourceMachine, bound: str
+) -> None:
+    _check(jobset, machine)
+    if machine.max_speed > 1:
+        raise ReproError(
+            f"{bound} is proved for unit speeds only; this machine runs "
+            f"at speeds {machine.speeds}"
+        )
+
+
 # ----------------------------------------------------------------------
 # makespan (Section 4)
 # ----------------------------------------------------------------------
+def weighted_span(dag: KDag, speeds: Sequence[int]) -> float:
+    """Macro steps a dedicated machine with speeds needs for the critical
+    path.
+
+    Models the engine's micro-round structure exactly: a macro step has
+    ``max(speeds)`` micro-rounds, a category-``alpha`` task may occupy any
+    round ``< s_alpha``, and a successor must occupy a strictly later
+    round (possibly in a later step) than its predecessor.  The DP walks
+    each vertex to its earliest ``(step, round)`` completion slot in one
+    topological pass (insertion order is topological for :class:`KDag`).
+    Empty DAG -> 0.  Reduces to ``dag.span()`` at unit speeds.
+
+    This is deliberately **not** ``sum 1/s_cat(v)`` over paths: a task
+    enabled in an early micro-round may feed a successor in a *later*
+    micro-round of the same step, so a chain of categories ``0, 1`` at
+    speeds ``(1, 2)`` finishes in one step although ``1/1 + 1/2 > 1``.
+    """
+    if len(speeds) != dag.num_categories:
+        raise ReproError(
+            f"{len(speeds)} speeds for a K={dag.num_categories} DAG"
+        )
+    n = dag.num_vertices
+    if n == 0:
+        return 0.0
+    steps = np.zeros(n, dtype=np.int64)
+    rounds = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        # latest predecessor slot; sources act as if a phantom predecessor
+        # finished in round -1 of step 1, i.e. they start in round 0.
+        ps, pr = 1, -1
+        for u in dag.predecessors(v):
+            if (steps[u], rounds[u]) > (ps, pr):
+                ps, pr = int(steps[u]), int(rounds[u])
+        s = int(speeds[dag.category(v)])
+        if pr + 1 < s:
+            steps[v], rounds[v] = ps, pr + 1
+        else:
+            steps[v], rounds[v] = ps + 1, 0
+    return float(steps.max())
+
+
+def job_weighted_span(job: Job, speeds: Sequence[int]) -> float:
+    """Weighted span of a job: exact for DAG jobs, conservative otherwise.
+
+    A :class:`PhaseJob` has no explicit DAG, so it gets the safe
+    ``span / max_speed``: every chain step costs at least ``1/max_s``.
+    """
+    if isinstance(job, DagJob):
+        return weighted_span(job.dag, speeds)
+    return job.span() / float(max(speeds))
+
+
 def makespan_lower_bound(jobset: JobSet, machine: KResourceMachine) -> float:
     """``T*(J) >= max(max_i (r_i + T_inf(Ji)), max_alpha T1(J, alpha)/P_alpha)``.
 
     The first term: no schedule can finish a job before its release plus its
     critical path.  The second: category ``alpha``'s total work can at best
     be spread perfectly over ``P_alpha`` processors.
+
+    On a machine with speeds both terms generalise: category ``alpha``
+    delivers at most ``P_alpha * s_alpha`` work units per step, and the
+    critical path becomes :func:`job_weighted_span`.  At unit speeds this
+    is the paper's bound exactly, computed without the weighted-span DP.
     """
     _check(jobset, machine)
-    span_bound = jobset.max_release_plus_span()
     work = jobset.total_work_vector()
-    caps = machine.capacity_vector()
-    work_bound = float(np.max(work / caps))
-    return max(float(span_bound), work_bound)
+    work_bound = float(np.max(work / machine.throughput_vector()))
+    if machine.max_speed == 1:
+        span_bound = float(jobset.max_release_plus_span())
+    else:
+        span_bound = max(
+            (
+                job.release_time + job_weighted_span(job, machine.speeds)
+                for job in jobset
+            ),
+            default=0.0,
+        )
+    return max(span_bound, work_bound)
 
 
 def time_expanded_lower_bound(
@@ -102,7 +191,7 @@ def lemma2_bound(jobset: JobSet, machine: KResourceMachine) -> float:
         T(J) <= sum_alpha T1(J, alpha)/P_alpha
                 + (1 - 1/Pmax) * max_i (T_inf(Ji) + r(Ji))
     """
-    _check(jobset, machine)
+    _check_unit_speeds(jobset, machine, "lemma2_bound")
     work = jobset.total_work_vector()
     caps = machine.capacity_vector()
     work_term = float(np.sum(work / caps))
@@ -134,7 +223,7 @@ def total_response_lower_bound(
     jobset: JobSet, machine: KResourceMachine
 ) -> float:
     """``R*(J) >= max(T_inf(J), max_alpha swa(J, alpha))`` for batched sets."""
-    _check(jobset, machine)
+    _check_unit_speeds(jobset, machine, "total_response_lower_bound")
     if not jobset.is_batched():
         raise ReproError(
             "the response-time lower bounds of Section 6 apply to batched "
@@ -174,7 +263,7 @@ def mean_response_floor(
     but sound everywhere — the right denominator for empirical
     mean-response competitive ratios over trace workloads.
     """
-    _check(jobset, machine)
+    _check_unit_speeds(jobset, machine, "mean_response_floor")
     if len(jobset) == 0:
         raise ReproError("mean_response_floor needs a non-empty job set")
     work = jobset.work_matrix().astype(np.int64)
@@ -189,7 +278,7 @@ def theorem5_total_rt_bound(
 ) -> float:
     """Inequality (5): under light workload K-RAD's *total* response time
     satisfies ``R(J) <= (2 - 2/(n+1)) * sum_alpha swa(J, alpha) + T_inf(J)``."""
-    _check(jobset, machine)
+    _check_unit_speeds(jobset, machine, "theorem5_total_rt_bound")
     n = len(jobset)
     swa = squashed_work_areas(jobset.work_matrix(), machine.capacities)
     return (2.0 - 2.0 / (n + 1)) * float(swa.sum()) + float(

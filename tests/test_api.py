@@ -50,7 +50,6 @@ class TestTopLevelApi:
             "repro.analysis",
             "repro.viz",
             "repro.io",
-            "repro.perf",
             "repro.feedback",
             "repro.experiments",
         ],

@@ -17,7 +17,6 @@ from repro.arena import (
     GreedyRolloutPolicy,
     Leaderboard,
     PolicyScheduler,
-    SchedulingEnv,
     arena_policies_for,
     arena_policy_names,
     certified_scenario_names,
@@ -26,15 +25,15 @@ from repro.arena import (
     get_policy,
     load_leaderboard,
     register_policy,
-    rollout,
     run_cross_engine_tournament,
     run_tournament,
 )
 from repro.errors import ReproError, ScheduleError
+from repro.jobs.workloads import random_phase_jobset
 from repro.machine.machine import KResourceMachine
 from repro.schedulers import KRad
-from repro.workloads.replay import replay
-from repro.workloads.scenarios import SCENARIOS, build_trace
+from repro.sim import simulate
+from repro.workloads.scenarios import SCENARIOS
 
 CAPS = (4, 2)
 SMALL = dict(
@@ -223,57 +222,6 @@ class TestLeaderboard:
 
 
 class TestEnv:
-    def _setup(self, seed=2, num_jobs=8):
-        trace = build_trace("bursty", seed=seed, num_jobs=num_jobs)
-        jobset = trace.to_jobset()
-        machine = KResourceMachine(trace.capacities)
-        return trace, jobset, machine
-
-    def test_reset_observation_shape(self):
-        _, jobset, machine = self._setup()
-        env = SchedulingEnv(machine, jobset)
-        obs = env.reset()
-        assert obs.t >= 1
-        assert obs.desires.shape == (obs.num_jobs, machine.num_categories)
-        assert obs.backlog.shape == (machine.num_categories,)
-        assert obs.capacities == tuple(machine.capacities)
-
-    def test_step_before_reset_raises(self):
-        _, jobset, machine = self._setup()
-        env = SchedulingEnv(machine, jobset)
-        with pytest.raises(ScheduleError, match="reset"):
-            env.step(np.zeros((0, machine.num_categories)))
-
-    def test_empty_jobset_rejected(self):
-        from repro.jobs.jobset import JobSet
-
-        with pytest.raises(ScheduleError, match="non-empty"):
-            SchedulingEnv(KResourceMachine(CAPS), JobSet([], 2))
-
-    def test_greedy_rollout_finishes_and_scores(self):
-        _, jobset, machine = self._setup()
-        env = SchedulingEnv(machine, jobset)
-        out = rollout(env, GreedyRolloutPolicy())
-        assert env.done
-        assert out["makespan"] == env.makespan > 0
-        assert out["return"] <= 0
-
-    def test_env_episode_matches_engine_schedule(self):
-        """The docstring claim: one env episode == the PolicyScheduler
-        run of the same policy through the real engines."""
-        trace, jobset, machine = self._setup()
-        out = rollout(
-            SchedulingEnv(machine, jobset), GreedyRolloutPolicy()
-        )
-        rep = replay(
-            trace,
-            engine="reference",
-            scheduler=PolicyScheduler(GreedyRolloutPolicy()),
-            validate=True,
-        )
-        assert out["makespan"] == rep.makespan
-        assert out["mean_response_time"] == rep.result.mean_response_time
-
     def test_clip_action_clamps_into_the_polytope(self):
         machine = KResourceMachine((3, 2))
         desires = {
@@ -297,3 +245,22 @@ class TestEnv:
         sched = PolicyScheduler(GreedyRolloutPolicy())
         assert sched.name == "env-greedy"
         assert sched.state_dict() == {}
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_policy_scheduler_runs_speed_machines(self, engine):
+        """A policy runs on the engines, so it sees what they model: a
+        3x category finishes this job set at step 57, not 63."""
+        js = random_phase_jobset(
+            np.random.default_rng(3), 2, 6, max_phases=3, max_work=16
+        )
+        makespans = [
+            simulate(
+                KResourceMachine((2, 2), speeds=speeds),
+                PolicyScheduler(GreedyRolloutPolicy()),
+                js,
+                seed=0,
+                engine=engine,
+            ).makespan
+            for speeds in ((1, 1), (1, 3))
+        ]
+        assert makespans == [63, 57]

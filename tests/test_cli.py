@@ -41,6 +41,17 @@ class TestCli:
         assert main(["ABLATE"]) == 0
         assert "ablation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "experiment, rc", [("FIG1", 0), ("BOGUS", 2)], ids=["run", "unknown"]
+    )
+    def test_engine_flag_leaves_process_default(self, capsys, experiment, rc):
+        from repro.sim.engine import get_default_engine
+
+        before = get_default_engine()
+        other = "fast" if before == "reference" else "reference"
+        assert main([experiment, "--engine", other]) == rc
+        assert get_default_engine() == before
+
 
 class TestCliOutputFormats:
     def test_markdown_out(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the performance-heterogeneity extension."""
 
+import numpy as np
 import pytest
 
 from repro.dag import builders
@@ -7,13 +8,14 @@ from repro.errors import CategoryError, ReproError, SimulationError
 from repro.jobs import JobSet, Phase, PhaseJob, workloads
 from repro.machine import KResourceMachine
 from repro.io.serialize import machine_from_dict, machine_to_dict
-from repro.perf import (
-    job_weighted_span,
-    speed_makespan_lower_bound,
-    weighted_span,
-)
 from repro.schedulers import KRad
 from repro.sim import simulate
+from repro.theory import bounds
+from repro.theory.bounds import (
+    job_weighted_span,
+    makespan_lower_bound,
+    weighted_span,
+)
 
 
 def _machine(caps, speeds, names=None):
@@ -138,7 +140,17 @@ class TestSpeedEngine:
         m = _machine((4, 2), (2, 3))
         js = workloads.random_dag_jobset(rng, 2, 5)
         r = simulate(m, KRad(), js)
-        assert r.makespan >= speed_makespan_lower_bound(js, m) - 1e-9
+        assert r.makespan >= makespan_lower_bound(js, m) - 1e-9
+        # a 4x category: the unit-speed certificate would exceed the
+        # measured makespan on most of these seeds (33.0 vs 14 on seed 2)
+        m = _machine((2, 2), (1, 4))
+        for seed in range(20):
+            js = workloads.random_dag_jobset(np.random.default_rng(seed), 2, 6)
+            r = simulate(m, KRad(), js)
+            lb = makespan_lower_bound(js, m)
+            assert r.makespan >= lb - 1e-9, (seed, r.makespan, lb)
+            if seed == 2:
+                assert (r.makespan, lb) == (14, 13.5)
 
     def test_k_mismatch_rejected(self, rng):
         js = workloads.random_dag_jobset(rng, 2, 2)
@@ -181,4 +193,28 @@ class TestSpeedEngine:
     def test_lb_k_mismatch_rejected(self, rng):
         js = workloads.random_dag_jobset(rng, 2, 2)
         with pytest.raises(ReproError):
-            speed_makespan_lower_bound(js, _machine((4,), (1,)))
+            makespan_lower_bound(js, _machine((4,), (1,)))
+
+
+class TestUnitSpeedOnlyBounds:
+    """The paper's response-time and Lemma-2 bounds have no speed
+    generalisation here: a machine with speeds is refused, not
+    answered with an unsound number."""
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            bounds.lemma2_bound,
+            bounds.total_response_lower_bound,
+            bounds.mean_response_lower_bound,
+            bounds.mean_response_floor,
+            bounds.theorem5_total_rt_bound,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_refused_on_speed_machine(self, bound, rng):
+        js = workloads.random_dag_jobset(rng, 2, 4)
+        assert js.is_batched()
+        bound(js, KResourceMachine((4, 2)))  # unit speeds: answered
+        with pytest.raises(ReproError, match="unit speeds only"):
+            bound(js, _machine((4, 2), (1, 2)))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.jobs import workloads
 from repro.machine import KResourceMachine
-from repro.perf import speed_makespan_lower_bound
 from repro.schedulers import KRad
 from repro.sim import simulate
+from repro.theory.bounds import job_weighted_span, makespan_lower_bound
 
 
 def _machine(caps, speeds):
@@ -52,7 +52,20 @@ class TestSpeedProperties:
         caps, speeds, js = case
         machine = _machine(caps, speeds)
         r = simulate(machine, KRad(), js)
-        assert r.makespan >= speed_makespan_lower_bound(js, machine) - 1e-9
+        assert r.makespan >= makespan_lower_bound(js, machine) - 1e-9
+
+    @given(speed_case())
+    @_SETTINGS
+    def test_unit_speed_bound_is_the_weighted_one(self, case):
+        """The unit-speed shortcut (release plus plain span) returns what
+        the weighted-span certificate returns at speeds all 1."""
+        caps, _, js = case
+        machine = KResourceMachine(caps)
+        span = max(
+            j.release_time + job_weighted_span(j, machine.speeds) for j in js
+        )
+        work = np.max(js.total_work_vector() / machine.throughput_vector())
+        assert makespan_lower_bound(js, machine) == max(span, float(work))
 
     @given(speed_case())
     @_SETTINGS

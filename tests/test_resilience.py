@@ -491,6 +491,48 @@ class TestWatchdog:
         assert dog.run() == 3
         assert events == ["spawn", "giveup"]
 
+    def _exiting_dog(self, procs, probes, **kw):
+        """A watchdog whose probe answers only as scripted; it keeps
+        each event's detail, and the clock records every sleep."""
+        clk = FakeClock()
+        events = []
+        dog = Watchdog(
+            lambda: procs.pop(0),
+            lambda: probes.pop(0) if probes else False,
+            probe_interval_s=0.25,
+            recovery_deadline_s=30.0,
+            clock=clk,
+            sleep=clk.sleep,
+            on_event=lambda kind, detail: events.append((kind, detail)),
+            **kw,
+        )
+        return dog, events, clk
+
+    def test_initial_start_that_exits_gives_up_at_once(self):
+        # e.g. a child refusing its configuration: no 30 s wait
+        dog, events, clk = self._exiting_dog([FakeProc([2])], [])
+        assert dog.run() == 3
+        assert clk.slept == []
+        assert [kind for kind, _ in events] == ["spawn", "giveup"]
+        assert "exited with code 2" in events[-1][1]
+
+    def test_replacement_that_exits_fails_at_once(self):
+        # the first start answers, then crashes; both replacements exit
+        # before answering and each consumes a restart at once
+        dog, events, clk = self._exiting_dog(
+            [FakeProc([-9]), FakeProc([2]), FakeProc([2])],
+            [True],
+            max_restarts=2,
+        )
+        assert dog.run() == 3
+        assert dog.restarts == 2
+        assert clk.slept == []
+        assert [kind for kind, _ in events] == [
+            "spawn", "restart", "restart", "giveup",
+        ]
+        for _, detail in events[2:]:
+            assert "replacement exited with code 2" in detail
+
 
 # ----------------------------------------------------------------------
 # chaos schedule

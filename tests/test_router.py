@@ -10,13 +10,12 @@ atomic journaled failover (recovery sees the whole move or none of it).
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import ConsistentHashRing, RoutingTable, ShardedClient
 from repro.service.router import _stable_hash
+from repro.sim.journal import Journal, read_journal
 
 TENANTS = [f"tenant-{i}" for i in range(60)]
 
@@ -120,15 +119,13 @@ class TestRoutingTable:
         table.close()
         assert moves, "victim owned no tenants; test is vacuous"
 
-        records = [
-            json.loads(line)
-            for line in open(path, encoding="utf-8")
-        ]
-        failovers = [r for r in records if r["op"] == "failover"]
+        records, _, clean = read_journal(path)
+        assert clean
+        failovers = [r for r in records if r.type == "failover"]
         assert len(failovers) == 1
-        assert failovers[0]["shard"] == victim
+        assert failovers[0].data["shard"] == victim
         assert {
-            t: int(s) for t, s in failovers[0]["moves"].items()
+            t: int(s) for t, s in failovers[0].data["moves"].items()
         } == moves
 
     def test_failover_moves_only_victims_tenants(self):
@@ -240,6 +237,72 @@ class TestRoutingTable:
         assert loaded.failovers == 1
         assert loaded.failover_moves == moves
         loaded.close()
+
+
+class TestRoutingJournalValidation:
+    """A routing journal loads exactly or fails with a typed error that
+    names the bad record, and a refused file is left as it was."""
+
+    def _journal(self, tmp_path, *tenants):
+        path = str(tmp_path / "routing.journal")
+        table = RoutingTable(2, journal_path=path, fsync=False)
+        routes = {t: table.shard_for(t) for t in tenants}
+        table.close()
+        return path, routes
+
+    def test_flipped_digit_is_mid_journal_corruption(self, tmp_path):
+        path, routes = self._journal(tmp_path, "ada", "grace")
+        shard = routes["ada"]
+        lines = open(path, encoding="utf-8").read().splitlines(True)
+        i = next(n for n, line in enumerate(lines) if '"ada"' in line)
+        lines[i] = lines[i].replace(
+            f'"shard":{shard}', f'"shard":{1 - shard}'
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+        with pytest.raises(ServiceError, match="corrupt"):
+            RoutingTable.load(path)
+
+    @pytest.mark.parametrize(
+        "rtype, data",
+        [
+            ("assign", {"tenant": "bob"}),
+            ("assign", {"tenant": "bob", "shard": "x"}),
+            ("assign", {"tenant": "bob", "shard": 99}),
+            ("failover", {"shard": 0, "moves": ["ada"]}),
+        ],
+        ids=["no-shard", "shard-not-int", "shard-out-of-range", "moves-list"],
+    )
+    def test_malformed_record_names_its_seq(self, tmp_path, rtype, data):
+        path, _ = self._journal(tmp_path, "ada")
+        records, _, _ = read_journal(path)
+        journal = Journal(path, fsync=False, start_seq=len(records))
+        journal.append(rtype, data)
+        journal.close()
+        before = open(path, "rb").read()
+        with pytest.raises(ServiceError, match=f"{rtype}.*seq 3"):
+            RoutingTable.load(path)
+        assert open(path, "rb").read() == before
+
+    def test_constructor_refuses_an_existing_journal(self, tmp_path):
+        # appending a second header would restart the sequence numbers
+        path, _ = self._journal(tmp_path, "ada")
+        before = open(path, "rb").read()
+        with pytest.raises(ServiceError, match="RoutingTable.load"):
+            RoutingTable(2, journal_path=path, fsync=False)
+        assert open(path, "rb").read() == before
+
+    def test_version_1_journal_refused_untouched(self, tmp_path):
+        path = str(tmp_path / "routing.journal")
+        v1 = (
+            b'{"v":1,"op":"init","num_shards":2,"replicas":64}\n'
+            b'{"op":"assign","tenant":"ada","shard":1}\n'
+        )
+        with open(path, "wb") as fh:
+            fh.write(v1)
+        with pytest.raises(ServiceError, match="version-2 header"):
+            RoutingTable.load(path)
+        assert open(path, "rb").read() == v1
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.dag import builders
 from repro.errors import ReproError, ScheduleError
 from repro.jobs import CP_FIRST, DagJob, workloads
 from repro.machine import KResourceMachine
-from repro.perf import SpeedAwareClairvoyant
+from repro.schedulers import SpeedAwareClairvoyant
 from repro.sim import simulate
 
 
