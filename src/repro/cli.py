@@ -41,11 +41,11 @@ offline from the journal::
 
     krad recover svc.journal
 
-Shard the service so one bad shard cannot take down the fleet, and
-watch the shard supervisor work::
+Shard the service into per-shard capacity slices under a watchdog that
+restarts the fleet through every shard's journal, and inspect it::
 
     krad serve --capacities 8,4 --shards 2 --port 7180 \\
-        --journal svc.journal
+        --journal svc.journal --supervised
     krad shards status --connect 127.0.0.1:7180
 
 Generate a named workload scenario, or record a live service run, then
@@ -891,10 +891,11 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="partition tenants across N supervised shards, each with "
-        "its own engine, admission controller and journal slice; a "
-        "failing shard is quarantined, recovered or failed over "
-        "without touching the others (default 1 = unsharded)",
+        help="partition tenants across N shards, each with its own "
+        "engine, capacity slice, admission controller and journal "
+        "(<journal>.shard<i>); a shard whose tick raises is rebuilt "
+        "from its journal, or failed with its tenants moved to the "
+        "others (default 1 = unsharded)",
     )
     sup = parser.add_argument_group(
         "watchdog supervision (self-healing through journal recovery)"
@@ -904,7 +905,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run under a watchdog: the serving process is spawned as a "
         "child, health-checked over the control socket, and restarted "
-        "through digest-verified journal recovery on crash or hang "
+        "through digest-verified journal recovery on crash or hang; "
+        "with --shards N every shard recovers from its own journal "
         "(requires an explicit --port or --socket, and --journal)",
     )
     sup.add_argument(
@@ -1026,12 +1028,6 @@ def _serve_main(argv: list[str]) -> int:
     address = control_endpoint(args.host, args.port, args.socket)
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1 and args.supervised:
-        raise ValueError(
-            "--supervised restarts one serving process through 'krad "
-            "recover'; a sharded service supervises its shards "
-            "in-process instead — pick one recovery story"
-        )
     if args.supervised:
         return _supervised_serve(args, argv, address)
     chaos = ChaosConfig(
@@ -1403,8 +1399,8 @@ def _shards_main(argv: list[str]) -> int:
         prog="krad shards",
         description=(
             "Inspect a running 'krad serve --shards N': one row per "
-            "shard with its supervision state, capacity slice, routed "
-            "tenants and recovery progress"
+            "shard with its state, capacity slice, routed tenants and "
+            "the reason for its state"
         ),
     )
     parser.add_argument(
@@ -1442,7 +1438,7 @@ def _shards_main(argv: list[str]) -> int:
     )
     print(header)
     for row in doc["shards"]:
-        caps = ",".join(str(c) for c in row["effective_capacities"])
+        caps = ",".join(str(c) for c in row["capacities"])
         tenants = ",".join(row["tenants"][:4])
         if len(row["tenants"]) > 4:
             tenants += f",+{len(row['tenants']) - 4}"

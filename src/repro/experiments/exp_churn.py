@@ -159,7 +159,7 @@ def run(
             peak_pmax = max(churn.peak_capacities())
             ratio = bounds.theorem3_ratio(k, peak_pmax)
             lb = bounds.time_expanded_lower_bound(
-                js, churn.capacities, horizon=2 * r.makespan + 10
+                js, machine, churn.capacities, horizon=2 * r.makespan + 10
             )
             check(
                 f"{label}: within Theorem-3 ratio of time-expanded LB",

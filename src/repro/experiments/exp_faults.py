@@ -155,7 +155,7 @@ def run(
         ):
             r = results[label]
             lb_deg = bounds.time_expanded_lower_bound(
-                js, schedule, horizon=2 * r.makespan + 10
+                js, machine, schedule, horizon=2 * r.makespan + 10
             )
             check(
                 f"{label}: within Theorem-3 ratio of degraded-machine LB",

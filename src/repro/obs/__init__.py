@@ -192,8 +192,6 @@ class Observability:
             self.bus.emit(t, "state_change", state=state, prev=prev)
 
     def on_shard_state_change(self, t, *, shard, state, prev, reason):
-        if self.metrics is not None:
-            self.metrics.record_shard_state_change(shard, state)
         if self.bus.active:
             self.bus.emit(
                 t,

@@ -55,7 +55,7 @@ EVENT_KINDS = (
     "cancel",          # service withdrew a not-yet-released job
     "drain",           # service stopped admissions and ran to completion
     "state_change",    # service moved on the graceful-degradation ladder
-    "shard_state_change",  # a shard moved on the supervision ladder
+    "shard_state_change",  # a shard failed (serving -> failed)
 )
 
 

@@ -352,7 +352,6 @@ class RunMetrics:
         self.submissions: dict[str, int] = {}
         self.rejections: dict[str, int] = {}
         self.state_changes: dict[str, int] = {}
-        self.shard_state_changes: dict[tuple[str, str], int] = {}
         self.cancellations = 0
         self.allocated = np.zeros(0, dtype=np.int64)
         self.desired = np.zeros(0, dtype=np.int64)
@@ -546,13 +545,6 @@ class RunMetrics:
         """One graceful-degradation transition, by destination state."""
         self.state_changes[state] = self.state_changes.get(state, 0) + 1
 
-    def record_shard_state_change(self, shard: int, state: str) -> None:
-        """One shard supervision transition, by shard and destination."""
-        key = (str(shard), state)
-        self.shard_state_changes[key] = (
-            self.shard_state_changes.get(key, 0) + 1
-        )
-
     def record_run_start(self) -> None:
         self.runs += 1
 
@@ -650,13 +642,6 @@ class RunMetrics:
                 "graceful-degradation transitions by destination state",
                 state=state,
             ).inc(self.state_changes[state])
-        for (shard, state) in sorted(self.shard_state_changes):
-            c(
-                "shard_state_transitions_total",
-                "shard supervision transitions by shard and destination",
-                shard=shard,
-                state=state,
-            ).inc(self.shard_state_changes[(shard, state)])
         for alpha in range(self.allocated.shape[0]):
             c(
                 "allocated_processor_steps_total",

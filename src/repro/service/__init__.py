@@ -28,12 +28,13 @@ small daemon with:
   to prove all of it under seeded network faults;
 * **sharding** (:mod:`repro.service.shard` +
   :mod:`repro.service.router`): N per-shard services behind
-  consistent-hash tenant routing with a journaled routing table, a
-  global allotter splitting the K-category pool across shards, and a
-  shard supervisor that quarantines a failing shard, replays its
-  journal digest-verified, and fails its tenants over to survivors when
-  recovery misses the deadline — one shard's blast radius never reaches
-  the others.
+  consistent-hash tenant routing with a journaled routing table and a
+  global allotter splitting the K-category pool into fixed per-shard
+  slices.  A shard whose tick raises is rebuilt from its own journal;
+  one that cannot be rebuilt is failed and its tenants move to the
+  survivors.  A crashed or hung fleet process is the watchdog's
+  (``krad serve --supervised --shards N``): every shard recovers from
+  its own journal.
 
 :class:`~repro.service.core.SchedulingService` is the in-process core;
 :class:`~repro.service.server.ServiceServer` puts it on a socket;
@@ -49,14 +50,7 @@ from repro.service.admission import (
     RejectionReason,
     theorem3_certificate,
 )
-from repro.service.chaos import (
-    SHARD_FAULT_KINDS,
-    ChaosConfig,
-    ChaosFault,
-    ChaosSchedule,
-    ShardChaosPlan,
-    ShardFault,
-)
+from repro.service.chaos import ChaosConfig, ChaosFault, ChaosSchedule
 from repro.service.client import (
     ServiceClient,
     fetch_healthz,
@@ -71,7 +65,6 @@ from repro.service.resilience import (
     ResilienceConfig,
     RetryBudget,
     RetrySession,
-    ShardHealthPolicy,
     Watchdog,
     service_state_code,
     shard_state_code,
@@ -106,15 +99,11 @@ __all__ = [
     "RetrySession",
     "RoutingTable",
     "SERVICE_STATES",
-    "SHARD_FAULT_KINDS",
     "SHARD_STATES",
     "SchedulingService",
     "ServiceClient",
     "ServiceConfig",
     "ServiceServer",
-    "ShardChaosPlan",
-    "ShardFault",
-    "ShardHealthPolicy",
     "ShardSlot",
     "ShardSupervisor",
     "ShardedClient",

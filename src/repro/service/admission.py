@@ -66,13 +66,9 @@ class RejectionReason(str, enum.Enum):
     BACKPRESSURE = "backpressure"
     TENANT_QUOTA = "tenant-quota"
     LOAD_SHED = "load-shed"
-    #: the tenant's shard is quarantined or replaying its journal; the
-    #: sharded router answers this (with ``retry_after``) until the
-    #: shard recovers or its tenants fail over to survivors
-    SHARD_RECOVERING = "shard-recovering"
-    #: terminal: the shard exhausted recovery and will not come back in
-    #: this process — the only reason that carries no ``retry_after``,
-    #: because an honest hint cannot exist for it
+    #: terminal: the shard could not be rebuilt and will not come back
+    #: in this process — the only reason that carries no
+    #: ``retry_after``, because an honest hint cannot exist for it
     SHARD_FAILED = "shard-failed"
 
 

@@ -38,9 +38,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosFault",
     "ChaosSchedule",
-    "SHARD_FAULT_KINDS",
-    "ShardChaosPlan",
-    "ShardFault",
 ]
 
 
@@ -243,120 +240,3 @@ class ChaosSchedule:
             f.describe() for f in faults
         )
 
-
-# ----------------------------------------------------------------------
-# shard-targeted fault schedules
-# ----------------------------------------------------------------------
-#: every fault kind a shard schedule may inject
-SHARD_FAULT_KINDS = (
-    "hang",          # the shard stops answering probes / ticking
-    "slow-journal",  # journal append latency inflates to `magnitude`
-    "exception",     # the shard's tick raises (an exception escape)
-    "crash",         # the live shard object dies (journal survives)
-)
-
-
-@dataclass(frozen=True)
-class ShardFault:
-    """One shard-targeted fault window, in supervisor-tick time.
-
-    ``[start, stop)`` is a half-open window of supervisor tick indices
-    during which the fault is active on shard ``shard`` — the same
-    deterministic index-window convention :class:`ChaosConfig` uses for
-    partitions, but against the shard supervisor's tick counter instead
-    of a message counter.  ``magnitude`` carries the fault's parameter
-    where one exists (the reported journal append latency, in seconds,
-    for ``slow-journal``).  A ``crash`` takes effect at ``start``; its
-    window end is irrelevant (a dead object stays dead until recovery).
-    """
-
-    shard: int
-    kind: str
-    start: int
-    stop: int
-    magnitude: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SHARD_FAULT_KINDS:
-            raise ServiceError(
-                f"shard fault kind {self.kind!r} is not one of "
-                f"{SHARD_FAULT_KINDS}"
-            )
-        if self.shard < 0:
-            raise ServiceError(
-                f"shard index must be >= 0, got {self.shard}"
-            )
-        if self.start < 0 or self.stop <= self.start:
-            raise ServiceError(
-                f"shard fault window needs 0 <= start < stop, got "
-                f"({self.start}, {self.stop})"
-            )
-        if self.kind == "slow-journal" and self.magnitude <= 0:
-            raise ServiceError(
-                "slow-journal faults need magnitude > 0 (the reported "
-                f"append latency in seconds), got {self.magnitude}"
-            )
-
-    def describe(self) -> str:
-        mag = (
-            f" magnitude={self.magnitude}" if self.kind == "slow-journal"
-            else ""
-        )
-        return (
-            f"shard {self.shard}: {self.kind} over ticks "
-            f"[{self.start}, {self.stop}){mag}"
-        )
-
-
-class ShardChaosPlan:
-    """A deterministic set of shard-targeted fault windows.
-
-    Purely declarative — the :class:`~repro.service.shard.ShardSupervisor`
-    consults :meth:`fault_for` once per (shard, tick) and applies
-    whatever comes back, so a chaos run is exactly reproducible from the
-    fault list.  At most one fault may be active per (shard, tick);
-    overlapping windows on one shard are rejected at construction.
-    """
-
-    def __init__(self, faults) -> None:
-        faults = tuple(faults)
-        for f in faults:
-            if not isinstance(f, ShardFault):
-                raise ServiceError(
-                    f"ShardChaosPlan takes ShardFault entries, got "
-                    f"{type(f).__name__}"
-                )
-        by_shard: dict[int, list[ShardFault]] = {}
-        for f in faults:
-            by_shard.setdefault(f.shard, []).append(f)
-        for shard, fs in by_shard.items():
-            fs.sort(key=lambda f: f.start)
-            for a, b in zip(fs, fs[1:]):
-                if b.start < a.stop:
-                    raise ServiceError(
-                        f"overlapping fault windows on shard {shard}: "
-                        f"{a.describe()} vs {b.describe()}"
-                    )
-        self.faults = faults
-        self._by_shard = by_shard
-
-    @property
-    def active(self) -> bool:
-        return bool(self.faults)
-
-    def fault_for(self, shard: int, tick: int) -> ShardFault | None:
-        """The fault active on ``shard`` at supervisor tick ``tick``."""
-        for f in self._by_shard.get(int(shard), ()):
-            if f.start <= tick < f.stop:
-                return f
-        return None
-
-    def describe(self) -> str:
-        if not self.faults:
-            return "shard chaos: (no faults)"
-        return "shard chaos:\n  " + "\n  ".join(
-            f.describe()
-            for f in sorted(
-                self.faults, key=lambda f: (f.shard, f.start)
-            )
-        )

@@ -239,19 +239,6 @@ class SchedulingService:
         """The final :class:`SimulationResult` once drained, else None."""
         return self._result
 
-    def ping(self) -> bool:
-        """Liveness probe: True iff the engine can answer trivially.
-
-        The in-process analogue of the wire ``ping`` op — what the
-        shard supervisor polls.  A service whose engine is wedged (or
-        gone) fails the probe instead of raising into the prober.
-        """
-        try:
-            self._sim.clock  # noqa: B018 - the probe IS the access
-        except Exception:  # noqa: BLE001 - a wedged engine must not raise
-            return False
-        return True
-
     def tenant_in_flight(self, tenant: str) -> int:
         """The tenant's pending, running and retrying jobs (O(those))."""
         ids = self._flight_of.get(tenant)
@@ -573,6 +560,23 @@ class SchedulingService:
                 for j, t in res.completion_times.items()
             },
         }
+
+    def close(self) -> None:
+        """Release the journal and trace files without draining.
+
+        The journal keeps every record that reached the disk, so
+        :meth:`recover` resumes from it.  When the journal cannot flush
+        its buffered tail (a full or failed disk) that tail is lost, as
+        in a crash, and the flush's ``OSError`` is raised once both
+        files are closed.
+        """
+        journal = getattr(self._sim, "_journal", None)
+        try:
+            if journal is not None:
+                journal.close()
+        finally:
+            if self._trace_writer is not None:
+                self._trace_writer.close()
 
     # ------------------------------------------------------------------
     # serving-loop support

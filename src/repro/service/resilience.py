@@ -22,9 +22,8 @@ job:
   draining) the service core walks based on queue depth, journal append
   latency and recovery status.  The state drives admission decisions,
   ``/healthz`` status codes and the ``service_state`` gauge.
-* :class:`Watchdog` — a single-shard supervisor (the bottom level of the
-  hierarchical scheme in *Scalable Hierarchical Scheduling for Malleable
-  Parallel Jobs*): it spawns the serving process, probes it for
+* :class:`Watchdog` — a process supervisor: it spawns the serving
+  process (one service, or a fleet of N shards), probes it for
   liveness, detects crash (process exit by signal) and hang (probe
   timeouts), and restarts it through the digest-verified journal
   recovery path with a bounded recovery deadline.
@@ -51,7 +50,6 @@ __all__ = [
     "ResilienceConfig",
     "RetryBudget",
     "RetrySession",
-    "ShardHealthPolicy",
     "Watchdog",
     "service_state_code",
     "shard_state_code",
@@ -79,16 +77,14 @@ def service_state_code(state: str) -> int:
         ) from None
 
 
-#: the per-shard supervision ladder, least to most degraded.  The index
-#: of a state is its numeric code in the ``service_shard_state`` gauge.
-#: Distinct from :data:`SERVICE_STATES`: a shard's *supervision* state
-#: says whether its engine is being driven at all, while the service
-#: degradation ladder describes how a live engine is admitting.
+#: the per-shard supervision states.  The index of a state is its
+#: numeric code in the ``service_shard_state`` gauge.  Distinct from
+#: :data:`SERVICE_STATES`: a shard's *supervision* state says whether
+#: its engine is being driven at all, while the service degradation
+#: ladder describes how a live engine is admitting.
 SHARD_STATES = (
-    "serving",      # ticking, routing accepts its tenants
-    "recovering",   # quarantine lifted; journal replay / re-probe underway
-    "quarantined",  # fault detected; ticking stopped, admissions refused
-    "failed",       # recovery missed its deadline; tenants failed over
+    "serving",  # ticking, routing accepts its tenants
+    "failed",   # its tick raised and no rebuild held; tenants failed over
 )
 
 
@@ -468,59 +464,6 @@ class ResilienceConfig:
         ):
             return "degraded"
         return "healthy"
-
-
-# ----------------------------------------------------------------------
-# shard supervision policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardHealthPolicy:
-    """Thresholds the shard supervisor judges each shard against.
-
-    All detection and deadlines are counted in *supervisor ticks* (one
-    tick = one pass of
-    :meth:`~repro.service.shard.ShardSupervisor.tick_all`), so the
-    quarantine → recover → fail-over ladder is deterministic and
-    testable without wall-clock sleeps.
-
-    * ``missed_pings`` — consecutive failed liveness probes before a
-      shard is declared hung and quarantined.
-    * ``journal_quarantine_s`` — journal append latency (EWMA seconds)
-      at or above which a shard is quarantined; its disk is too sick to
-      honour the ack-means-durable contract.
-    * ``recovery_deadline_ticks`` — supervisor ticks a shard may spend
-      quarantined/recovering before its tenants are failed over to the
-      surviving shards.
-    * ``max_recover_attempts`` — failed journal-replay attempts before
-      giving up early (a corrupt journal fails over before the deadline
-      instead of burning it on identical replay failures).
-    """
-
-    missed_pings: int = 3
-    journal_quarantine_s: float = 0.5
-    recovery_deadline_ticks: int = 8
-    max_recover_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.missed_pings < 1:
-            raise ServiceError(
-                f"missed_pings must be >= 1, got {self.missed_pings}"
-            )
-        if self.journal_quarantine_s <= 0:
-            raise ServiceError(
-                f"journal_quarantine_s must be > 0, got "
-                f"{self.journal_quarantine_s}"
-            )
-        if self.recovery_deadline_ticks < 1:
-            raise ServiceError(
-                f"recovery_deadline_ticks must be >= 1, got "
-                f"{self.recovery_deadline_ticks}"
-            )
-        if self.max_recover_attempts < 1:
-            raise ServiceError(
-                f"max_recover_attempts must be >= 1, got "
-                f"{self.max_recover_attempts}"
-            )
 
 
 # ----------------------------------------------------------------------

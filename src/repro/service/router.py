@@ -341,9 +341,8 @@ class ShardedClient:
     ``client_factory(address)`` builds one
     :class:`~repro.service.client.ServiceClient` (injectable for retry
     budgets or tests).  The class is deliberately thin: no failover
-    logic — a dead shard surfaces as the transport error or
-    ``shard-recovering`` rejection the caller's retry policy already
-    handles.
+    logic — a dead shard surfaces as the transport error the caller's
+    retry policy already handles.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Sharded multi-tenant serving: N engines, one blast radius each.
+"""Sharded multi-tenant serving: N engines, one capacity slice each.
 
 Two-level scheduling in the sense of *Scalable Hierarchical Scheduling
 for Malleable Parallel Jobs* (Cao/Sun/Qian/Wu): a :class:`GlobalAllotter`
@@ -6,43 +6,28 @@ divides the K-category processor pool across N shards, each shard runs
 the full single-service stack — its own
 :class:`~repro.service.core.SchedulingService`, engine, admission
 controller and write-ahead journal — and local K-RAD inside each shard
-preserves allotment feasibility against that shard's slice.  Tenants are
-partitioned across shards by the consistent-hash routing of
-:mod:`repro.service.router`, so each tenant's jobs form one coherent
-per-shard computation: a fault-free N-shard run is *digest-identical,
-per tenant*, to N independent single-shard runs (the sliced conformance
-suite asserts this literally).
+preserves allotment feasibility against that shard's fixed slice, so
+each shard's Theorem-3 certificate holds against the capacity its engine
+was built with.  Tenants are partitioned across shards by the
+consistent-hash routing of :mod:`repro.service.router`, so each tenant's
+jobs form one coherent per-shard computation: a fault-free N-shard run
+is *digest-identical, per tenant*, to N independent single-shard runs
+(the sliced conformance suite asserts this literally).
 
-The robustness core is the :class:`ShardSupervisor`:
+The :class:`ShardSupervisor` keeps two states per shard, ``serving`` and
+``failed``.  A shard whose tick raises is rebuilt in place from its
+journal (``<journal>.shard<i>``) through the digest-verified
+:meth:`~repro.service.core.SchedulingService.recover`; a shard that has
+no journal, whose replay raises, or that raises again on its first tick
+after a rebuild is failed, and its tenants move to the survivors in one
+journaled routing record.  A whole-process crash or hang is the
+watchdog's (``krad serve --supervised --shards N``): the restarted
+fleet recovers every shard from its own journal.
 
-* **detect** — each supervisor tick it health-checks every serving
-  shard: missed liveness probes (hangs), journal append latency
-  (dying disks), and exception escapes out of the shard's tick;
-* **quarantine** — a failing shard stops being ticked and its tenants'
-  submissions are refused with reason ``shard-recovering`` +
-  ``retry_after``; *no other shard is touched* — their engines never
-  observe the fault, so their digests are unchanged by construction;
-* **recover** — quarantined shards replay their per-shard journal
-  through the digest-verified
-  :meth:`~repro.service.core.SchedulingService.recover` path; a replay
-  that verifies returns the shard to ``serving``;
-* **fail over** — when recovery misses its deadline
-  (:class:`~repro.service.resilience.ShardHealthPolicy`), the shard's
-  tenants are re-routed to the surviving shards (one journaled routing
-  record) and the global allotter re-splits capacity across the
-  survivors.  The re-split is **accounting-plane only**: surviving
-  shards' live engines keep the machine they were built with (mutating
-  them would change their digests, breaking both the conformance
-  guarantee and the isolation contract); the new split governs
-  telemetry, ``shards status`` and the capacity any *replacement* shard
-  would be built with.
-
-Every shard transition is journaled into telemetry: a
-``shard_state_change`` event, the ``service_shard_state`` /
-``service_shard_state_info`` gauges, and per-shard ``service_*``
-families (the single-service metrics re-labelled with ``shard="i"``)
-aggregate into one scrapeable ``/metrics``; ``/healthz`` names the
-sickest shard.
+A shard failure emits a ``shard_state_change`` event and shows in the
+``service_shard_state`` gauge; per-shard ``service_*`` families (the
+single-service metrics re-labelled with ``shard="i"``) aggregate into
+one scrapeable ``/metrics``; ``/healthz`` names the sickest shard.
 """
 
 from __future__ import annotations
@@ -56,8 +41,6 @@ from repro.obs import MetricsRegistry, Observability, get_default_obs
 from repro.service.core import SchedulingService, ServiceConfig
 from repro.service.resilience import (
     SERVICE_STATES,
-    SHARD_STATES,
-    ShardHealthPolicy,
     service_state_code,
     shard_state_code,
 )
@@ -77,9 +60,7 @@ class GlobalAllotter:
     :meth:`split` deals each category's ``P_alpha`` processors across
     ``num_shards`` as evenly as integers allow (lower-indexed shards
     absorb the remainder), so the shard capacity vectors sum exactly to
-    the pool.  :meth:`resplit` recomputes that split over an arbitrary
-    set of surviving shards after a failover — same dealing rule, fewer
-    hands.
+    the pool.
     """
 
     def __init__(self, capacities, num_shards: int) -> None:
@@ -100,45 +81,21 @@ class GlobalAllotter:
 
     def split(self) -> tuple[tuple[int, ...], ...]:
         """Per-shard capacity vectors for the full shard set."""
-        resplit = self.resplit(range(self.num_shards))
-        return tuple(resplit[i] for i in range(self.num_shards))
-
-    def resplit(self, live) -> dict[int, tuple[int, ...]]:
-        """Per-shard capacity vectors over the ``live`` shards only.
-
-        Deterministic in the live set: shard order is ascending index,
-        remainders go to the lowest-indexed survivors.
-        """
-        shards = sorted(set(int(s) for s in live))
-        if not shards:
-            raise ServiceError("cannot split capacity over zero shards")
-        m = len(shards)
-        out: dict[int, list[int]] = {s: [] for s in shards}
-        for cap in self.capacities:
-            base, rem = divmod(cap, m)
-            for j, s in enumerate(shards):
-                out[s].append(base + (1 if j < rem else 0))
-        return {s: tuple(v) for s, v in out.items()}
+        n = self.num_shards
+        return tuple(
+            tuple(
+                cap // n + (1 if shard < cap % n else 0)
+                for cap in self.capacities
+            )
+            for shard in range(n)
+        )
 
 
 class ShardSlot:
-    """One shard's supervision record: the live service plus its ladder
-    position.  Mutable by design — the supervisor walks it through
-    serving → quarantined → recovering → serving/failed."""
+    """One shard's supervision record: the live service, or None once
+    the shard has failed."""
 
-    __slots__ = (
-        "index",
-        "config",
-        "service",
-        "state",
-        "reason",
-        "missed_pings",
-        "quarantined_at",
-        "recover_attempts",
-        "last_error",
-        "effective_capacities",
-        "state_changes",
-    )
+    __slots__ = ("index", "config", "service", "reason", "last_error")
 
     def __init__(
         self, index: int, config: ServiceConfig, service
@@ -146,45 +103,41 @@ class ShardSlot:
         self.index = int(index)
         self.config = config
         self.service: SchedulingService | None = service
-        self.state = "serving"
         self.reason = ""
-        self.missed_pings = 0
-        #: supervisor tick at which the current quarantine began
-        self.quarantined_at: int | None = None
-        self.recover_attempts = 0
         self.last_error = ""
-        #: accounting-plane capacity (re-split on failover; the live
-        #: engine's machine is never mutated)
-        self.effective_capacities = tuple(config.capacities)
-        self.state_changes = 0
+
+    @property
+    def state(self) -> str:
+        """``serving`` while the shard has a service, else ``failed``."""
+        return "serving" if self.service is not None else "failed"
+
+
+def _retire(slot: ShardSlot) -> None:
+    """Take a replaced or failed shard's service out of its slot and
+    close it, best effort: a journal whose disk failed cannot flush its
+    buffered tail, and the rebuild or failover must run regardless."""
+    service, slot.service = slot.service, None
+    if service is None:
+        return
+    try:
+        service.close()
+    except OSError as exc:
+        slot.last_error += f"; close raised {type(exc).__name__}: {exc}"
 
 
 class ShardSupervisor:
-    """Health-check, quarantine, recover and fail over N shard slots.
-
-    Everything is counted in supervisor ticks (one
-    :meth:`tick_all` pass), so the whole ladder is deterministic under a
-    :class:`~repro.service.chaos.ShardChaosPlan` — the chaos tests drive
-    hang, slow-journal, exception-escape and crash faults through the
-    exact code paths real faults would take.
-    """
+    """Tick every serving shard; rebuild or fail one whose tick raises."""
 
     def __init__(
         self,
         slots: list[ShardSlot],
-        policy: ShardHealthPolicy,
         *,
         routing: RoutingTable,
-        allotter: GlobalAllotter,
         obs: Observability,
-        chaos=None,
     ) -> None:
         self.slots = slots
-        self.policy = policy
         self.routing = routing
-        self.allotter = allotter
         self.obs = obs
-        self.chaos = chaos
 
     @property
     def failovers(self) -> int:
@@ -197,242 +150,70 @@ class ShardSupervisor:
         """Tenants moved by failovers: ``{tenant: destination shard}``."""
         return self.routing.failover_moves
 
-    # ------------------------------------------------------------------
-    # state ladder
-    # ------------------------------------------------------------------
-    def _set_state(
-        self, slot: ShardSlot, state: str, *, reason: str, tick: int
-    ) -> None:
-        if state == slot.state:
-            return
-        prev, slot.state = slot.state, state
-        slot.reason = reason
-        slot.state_changes += 1
-        self.obs.on_shard_state_change(
-            tick, shard=slot.index, state=state, prev=prev, reason=reason
-        )
-
-    def quarantine(
-        self, slot: ShardSlot, reason: str, tick: int
-    ) -> None:
-        """Pull one shard out of service; the others are untouched."""
-        slot.quarantined_at = tick
-        slot.recover_attempts = 0
-        slot.missed_pings = 0
-        self._set_state(slot, "quarantined", reason=reason, tick=tick)
-
-    # ------------------------------------------------------------------
-    # the supervision pass
-    # ------------------------------------------------------------------
     def tick_all(self, tick: int) -> bool:
-        """One supervision pass: drive healthy shards, judge the rest.
+        """One pass: tick every serving shard.
 
-        Returns True when every *serving* shard is quiescent (no
-        admitted work left to run) — the signal the serving loop uses to
-        idle down.  Quarantined/recovering shards count as non-quiescent
-        (there is recovery work pending); failed shards count as
-        quiescent (nothing will ever be driven again).
+        Returns True when every serving shard is quiescent (no admitted
+        work left to run) — the signal the serving loop uses to idle
+        down.  Failed shards count as quiescent: nothing will ever be
+        driven there again.
         """
         all_quiescent = True
         for slot in self.slots:
-            if slot.state == "failed":
-                continue
-            if slot.state in ("quarantined", "recovering"):
-                self._try_recover(slot, tick)
-                if slot.state != "serving":
-                    all_quiescent = False
-                continue
-            fault = (
-                self.chaos.fault_for(slot.index, tick)
-                if self.chaos is not None
-                else None
-            )
-            if fault is not None and fault.kind == "crash":
-                # The live object dies; its journal is the survivor.
-                slot.service = None
-                slot.last_error = "chaos: shard object crashed"
-                self.quarantine(slot, "crash", tick)
-                all_quiescent = False
-                continue
-            if fault is not None and fault.kind == "hang":
-                # A hung shard neither ticks nor answers probes.
-                slot.missed_pings += 1
-                all_quiescent = False
-                if slot.missed_pings >= self.policy.missed_pings:
-                    slot.last_error = (
-                        f"{slot.missed_pings} consecutive missed pings"
-                    )
-                    self.quarantine(slot, "hang", tick)
-                continue
-            latency = (
-                fault.magnitude
-                if fault is not None and fault.kind == "slow-journal"
-                else slot.service.journal_latency_s()
-            )
-            if latency >= self.policy.journal_quarantine_s:
-                slot.last_error = (
-                    f"journal append latency {latency:.3f}s >= "
-                    f"{self.policy.journal_quarantine_s:.3f}s"
-                )
-                self.quarantine(slot, "slow-journal", tick)
-                all_quiescent = False
+            if slot.service is None:
                 continue
             try:
-                if fault is not None and fault.kind == "exception":
-                    raise ServiceError(
-                        "chaos: injected exception escape from shard tick"
-                    )
                 quiescent = slot.service.tick()
-            except Exception as exc:  # noqa: BLE001 - escape = quarantine
-                slot.last_error = str(exc)
-                self.quarantine(slot, "exception", tick)
-                all_quiescent = False
-                continue
-            if slot.service.ping():
-                slot.missed_pings = 0
-            else:
-                slot.missed_pings += 1
-                if slot.missed_pings >= self.policy.missed_pings:
-                    slot.last_error = (
-                        f"{slot.missed_pings} consecutive missed pings"
-                    )
-                    self.quarantine(slot, "hang", tick)
-                    all_quiescent = False
-                    continue
+            except Exception as exc:  # noqa: BLE001 - rebuild or fail
+                quiescent = self._rebuild(slot, tick, exc)
             all_quiescent = all_quiescent and quiescent
         return all_quiescent
 
-    # ------------------------------------------------------------------
-    # recovery and failover
-    # ------------------------------------------------------------------
-    def _fault_active(self, slot: ShardSlot, tick: int) -> bool:
-        if self.chaos is None:
-            return False
-        fault = self.chaos.fault_for(slot.index, tick)
-        # An expired crash window is not "active": the damage is the
-        # dead object, which only recovery can undo.
-        return fault is not None and fault.kind != "crash"
-
-    def _try_recover(self, slot: ShardSlot, tick: int) -> None:
-        """One recovery attempt for a quarantined shard.
-
-        Journaled shards replay digest-verified; journal-less shards can
-        only heal from transient faults (the live object survived).
-        Missing the policy deadline — or exhausting replay attempts —
-        fails the shard over.
-        """
-        self._set_state(
-            slot, "recovering", reason=slot.reason, tick=tick
-        )
-        if self._fault_active(slot, tick):
-            # The fault window is still open: recovery would be undone
-            # immediately.  Burn deadline, not replay attempts.
-            self._check_deadline(slot, tick)
-            return
-        journal = slot.config.journal_path
-        if journal is not None and os.path.exists(journal) and (
-            os.path.getsize(journal) > 0
-        ):
-            old = slot.service
-            try:
-                svc = SchedulingService.recover(
-                    slot.config, obs=Observability()
-                )
-            except Exception as exc:  # noqa: BLE001 - corrupt journal etc.
-                slot.recover_attempts += 1
-                slot.last_error = f"journal replay failed: {exc}"
-                self._check_deadline(slot, tick)
-                return
-            if old is not None:
-                # Retire the superseded object's journal handle so the
-                # recovered service is the only appender.
-                j = getattr(old.simulator, "_journal", None)
-                close = getattr(j, "close", None)
-                if close is not None:
-                    try:
-                        close()
-                    except Exception:  # noqa: BLE001 - best effort
-                        pass
-            slot.service = svc
-            slot.missed_pings = 0
-            slot.quarantined_at = None
-            self._set_state(
-                slot, "serving", reason="journal replay verified",
-                tick=tick,
+    def _rebuild(self, slot: ShardSlot, tick: int, exc: Exception) -> bool:
+        """Replace a shard whose tick raised by one recovered from its
+        journal, and tick it once; fail the shard if that cannot be done.
+        Returns the replacement tick's quiescence (True once failed)."""
+        slot.last_error = f"tick raised {type(exc).__name__}: {exc}"
+        if slot.config.journal_path is None:
+            self.fail_over(slot, tick, why="tick raised; no journal")
+            return True
+        _retire(slot)
+        try:
+            slot.service = SchedulingService.recover(
+                slot.config, obs=Observability()
             )
-            return
-        if slot.service is not None and slot.service.ping():
-            # Transient fault on a journal-less shard: the live object
-            # survived and answers again.
-            slot.missed_pings = 0
-            slot.quarantined_at = None
-            self._set_state(
-                slot, "serving", reason="probe recovered", tick=tick
+            quiescent = slot.service.tick()
+        except Exception as err:  # noqa: BLE001 - replay or retick failed
+            why = (
+                "journal replay failed"
+                if slot.service is None
+                else "tick raised again after rebuild"
             )
-            return
-        slot.recover_attempts += 1
-        slot.last_error = (
-            slot.last_error or "no journal and the live object is gone"
-        )
-        self._check_deadline(slot, tick)
-
-    def _check_deadline(self, slot: ShardSlot, tick: int) -> None:
-        overdue = (
-            slot.quarantined_at is not None
-            and tick - slot.quarantined_at
-            >= self.policy.recovery_deadline_ticks
-        )
-        exhausted = (
-            slot.recover_attempts >= self.policy.max_recover_attempts
-        )
-        if overdue or exhausted:
-            self.fail_over(
-                slot,
-                tick,
-                why=(
-                    "recovery deadline missed" if overdue
-                    else "recovery attempts exhausted"
-                ),
-            )
+            slot.last_error = f"{why}: {type(err).__name__}: {err}"
+            self.fail_over(slot, tick, why=why)
+            return True
+        slot.reason = "rebuilt from journal"
+        return quiescent
 
     def fail_over(self, slot: ShardSlot, tick: int, *, why: str) -> None:
-        """Give up on one shard: move its tenants, re-split capacity.
-
-        The routing move is one journaled record (all-or-nothing on
-        recovery); the capacity re-split is accounting-plane only — no
-        surviving engine's machine is touched, so no surviving digest
-        changes.
-        """
-        live = [
-            s.index
-            for s in self.slots
-            if s.state != "failed" and s.index != slot.index
-        ]
-        if not live:
-            # Nowhere to move tenants: the shard is failed, full stop.
-            self._set_state(
-                slot, "failed", reason=f"{why}; no surviving shards",
-                tick=tick,
-            )
-            return
-        moves = self.routing.fail_over(slot.index)
-        resplit = self.allotter.resplit(live)
-        for other in self.slots:
-            if other.index in resplit:
-                other.effective_capacities = resplit[other.index]
-        slot.effective_capacities = tuple(
-            0 for _ in self.allotter.capacities
-        )
-        self._set_state(
-            slot,
-            "failed",
-            reason=f"{why}; {len(moves)} tenants failed over",
-            tick=tick,
+        """Give up on one shard: close its service and move its tenants
+        to the survivors in one journaled routing record (none when it
+        is the last live shard).  Surviving engines are not touched."""
+        _retire(slot)
+        if any(s.service is not None for s in self.slots):
+            moves = self.routing.fail_over(slot.index)
+            why = f"{why}; {len(moves)} tenants failed over"
+        else:
+            why = f"{why}; no surviving shards"
+        slot.reason = why
+        self.obs.on_shard_state_change(
+            tick,
+            shard=slot.index,
+            state="failed",
+            prev="serving",
+            reason=why,
         )
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def sickest(self) -> ShardSlot:
         """The shard in the worst supervision state (ties: lowest index)."""
         return max(
@@ -441,7 +222,7 @@ class ShardSupervisor:
 
 
 class ShardedSchedulingService:
-    """N per-shard services behind one routed, supervised front.
+    """N per-shard services behind one routed front.
 
     Mirrors the :class:`~repro.service.core.SchedulingService` surface
     (``submit``/``status``/``cancel``/``stats``/``drain``/``tick``/
@@ -464,12 +245,6 @@ class ShardedSchedulingService:
         per-shard verbatim.
     num_shards:
         How many shards to run.
-    policy:
-        The :class:`~repro.service.resilience.ShardHealthPolicy`
-        (defaults apply when omitted).
-    chaos:
-        Optional :class:`~repro.service.chaos.ShardChaosPlan` of
-        shard-targeted fault windows (tests, drills).
     """
 
     def __init__(
@@ -478,8 +253,6 @@ class ShardedSchedulingService:
         num_shards: int,
         *,
         obs: Observability | None = None,
-        policy: ShardHealthPolicy | None = None,
-        chaos=None,
         replicas: int = 64,
     ) -> None:
         if num_shards < 1:
@@ -547,24 +320,8 @@ class ShardedSchedulingService:
             slots.append(ShardSlot(i, shard_config, service))
         self.slots = slots
         self.supervisor = ShardSupervisor(
-            slots,
-            policy if policy is not None else ShardHealthPolicy(),
-            routing=self.routing,
-            allotter=self.allotter,
-            obs=obs,
-            chaos=chaos,
+            slots, routing=self.routing, obs=obs
         )
-        # A restart that left shards failed must keep the accounting
-        # plane in step with the routing state: re-split over the
-        # survivors, zero the failed — otherwise telemetry and `shards
-        # status` would report the full even split for a shard that
-        # serves nothing.
-        live = [s.index for s in slots if s.state != "failed"]
-        if len(live) < self.num_shards:
-            resplit = self.allotter.resplit(live)
-            zero = tuple(0 for _ in self.allotter.capacities)
-            for s in slots:
-                s.effective_capacities = resplit.get(s.index, zero)
         self._tick_index = 0
         self._rejected = 0
         self._draining = False
@@ -601,7 +358,6 @@ class ShardedSchedulingService:
             self.routing.revive(index)
             slot.reason = "journal replay verified on restart"
         else:
-            slot.state = "failed"
             slot.reason = "failed over before restart; not recoverable"
             slot.last_error = error
         return slot
@@ -650,34 +406,19 @@ class ShardedSchedulingService:
         """The merged drain summary once drained, else None."""
         return self._result
 
-    def ping(self) -> bool:
-        return True
-
     # ------------------------------------------------------------------
     # the five operations, routed
     # ------------------------------------------------------------------
-    def _unavailable(self, shard: int, op: str) -> dict:
+    def _failed(self, shard: int, op: str) -> dict:
+        """The terminal answer for a failed shard: no ``retry_after``,
+        because the shard will not come back in this process."""
         slot = self.slots[shard]
-        doc = {
+        return {
             "ok": False,
-            "error": (
-                f"cannot {op}: shard {shard} is {slot.state}"
-                + (f" ({slot.reason})" if slot.reason else "")
-            ),
+            "error": f"cannot {op}: shard {shard} failed ({slot.reason})",
+            "reason": "shard-failed",
             "shard": shard,
         }
-        if slot.state == "failed":
-            # Terminal: the shard exhausted recovery and will not come
-            # back in this process.  No retry_after — an honest hint
-            # cannot exist, and hinting anyway would make a dead shard
-            # look indefinitely retryable.
-            doc["reason"] = "shard-failed"
-        else:
-            doc["reason"] = "shard-recovering"
-            doc["retry_after"] = self.config.retry_after * max(
-                1, self.supervisor.policy.recovery_deadline_ticks // 2
-            )
-        return doc
 
     def submit(
         self,
@@ -689,23 +430,22 @@ class ShardedSchedulingService:
     ) -> dict:
         """Route one submission to the tenant's shard.
 
-        While that shard is quarantined or replaying its journal the
-        answer is a ``shard-recovering`` rejection with ``retry_after``
-        — after a failover the tenant's next submission routes to a
-        survivor and is judged by its admission controller as usual.
+        A failover re-routes the failed shard's tenants, so only a
+        tenant stranded on the last shard standing meets the terminal
+        ``shard-failed`` rejection here.
         """
         if not isinstance(tenant, str) or not tenant:
             raise ServiceError("tenant must be a non-empty string")
         shard = self.routing.shard_for(tenant)
         slot = self.slots[shard]
-        if slot.state != "serving" or slot.service is None:
+        if slot.service is None:
             self._rejected += 1
-            rejection = self._unavailable(shard, "submit")
+            rejection = self._failed(shard, "submit")
             self.obs.on_reject(
                 self._tick_index,
                 tenant=tenant,
                 reason=rejection["reason"],
-                retry_after=rejection.get("retry_after"),
+                retry_after=None,
             )
             return rejection
         ack = slot.service.submit(
@@ -723,15 +463,15 @@ class ShardedSchedulingService:
     def status(self, job_id: int) -> dict:
         shard, local = self.split_id(job_id)
         slot = self.slots[shard]
-        if slot.state != "serving" or slot.service is None:
-            return self._unavailable(shard, "report status")
+        if slot.service is None:
+            return self._failed(shard, "report status")
         return self._globalise(shard, slot.service.status(local))
 
     def cancel(self, job_id: int) -> dict:
         shard, local = self.split_id(job_id)
         slot = self.slots[shard]
-        if slot.state != "serving" or slot.service is None:
-            return self._unavailable(shard, "cancel")
+        if slot.service is None:
+            return self._failed(shard, "cancel")
         return self._globalise(shard, slot.service.cancel(local))
 
     def stats(self) -> dict:
@@ -764,7 +504,7 @@ class ShardedSchedulingService:
             "draining": self._draining,
             "state": self._aggregate_state(),
             "accepted": accepted,
-            # Router-level shard-recovering rejections never reached a
+            # Router-level shard-failed rejections never reached a
             # shard's admission controller; count them here.
             "rejected": rejected + self._rejected,
             "duplicates": duplicates,
@@ -775,22 +515,19 @@ class ShardedSchedulingService:
         }
 
     def drain(self) -> dict:
-        """Drain every recoverable shard and merge the summaries.
+        """Drain every serving shard, merge the summaries and close the
+        routing journal.
 
-        Quarantined shards get one last journal-replay attempt so their
-        acknowledged jobs still complete; shards that cannot be brought
-        back are reported in ``failed_shards`` (their acknowledged jobs
-        remain replayable from the on-disk journal).  Idempotent.
+        Failed shards are reported in ``failed_shards`` (their
+        acknowledged jobs remain replayable from the on-disk journal).
+        Idempotent.
         """
         self._draining = True
         if self._result is not None:
             return self._result
-        for slot in self.slots:
-            if slot.state in ("quarantined", "recovering"):
-                self.supervisor._try_recover(slot, self._tick_index)
         shard_docs: dict[int, dict] = {}
         for slot in self.slots:
-            if slot.state == "serving" and slot.service is not None:
+            if slot.service is not None:
                 shard_docs[slot.index] = slot.service.drain()
         merged: dict = {
             "ok": bool(shard_docs)
@@ -838,14 +575,26 @@ class ShardedSchedulingService:
                 )
         merged["failed"].sort()
         merged["cancelled"].sort()
+        self.routing.close()
         self._result = merged
         return merged
+
+    def close(self) -> None:
+        """Release every shard's files and the routing journal without
+        draining; a fleet opened again on the same journal base resumes
+        from them."""
+        try:
+            for slot in self.slots:
+                if slot.service is not None:
+                    slot.service.close()
+        finally:
+            self.routing.close()
 
     # ------------------------------------------------------------------
     # serving-loop support
     # ------------------------------------------------------------------
     def tick(self) -> bool:
-        """One supervision pass over the fleet; True when quiescent."""
+        """One pass over the fleet; True when quiescent."""
         if self._result is not None:
             return True
         tick = self._tick_index
@@ -859,15 +608,14 @@ class ShardedSchedulingService:
         """The fleet's rung on the service degradation ladder.
 
         The worst rung any serving shard reports, floored at
-        ``degraded`` while any shard is off the serving state — a fleet
-        with a quarantined member is not healthy, even though the
-        survivors are.
+        ``degraded`` while any shard has failed — a fleet that lost a
+        member is not healthy, even though the survivors are.
         """
         if self._draining or self._result is not None:
             return "draining"
         worst = 0
         for slot in self.slots:
-            if slot.state == "serving" and slot.service is not None:
+            if slot.service is not None:
                 worst = max(
                     worst,
                     service_state_code(slot.service.service_state()),
@@ -897,7 +645,7 @@ class ShardedSchedulingService:
                     "reason": s.reason,
                     "service_state": (
                         s.service.service_state()
-                        if s.state == "serving" and s.service is not None
+                        if s.service is not None
                         else None
                     ),
                 }
@@ -914,19 +662,13 @@ class ShardedSchedulingService:
                 "state": slot.state,
                 "reason": slot.reason,
                 "capacities": list(slot.config.capacities),
-                "effective_capacities": list(slot.effective_capacities),
                 "tenants": list(self.routing.tenants_of(slot.index)),
-                "recover_attempts": slot.recover_attempts,
                 "last_error": slot.last_error,
                 "journal": slot.config.journal_path,
             }
             if slot.service is not None:
                 row["clock"] = slot.service.clock
-                row["service_state"] = (
-                    slot.service.service_state()
-                    if slot.state == "serving"
-                    else None
-                )
+                row["service_state"] = slot.service.service_state()
                 row["in_flight"] = slot.service.total_in_flight()
             rows.append(row)
         return {
@@ -945,7 +687,7 @@ class ShardedSchedulingService:
         re-labelled with ``shard="i"``, plus supervisor-level gauges."""
         agg = MetricsRegistry()
         for slot in self.slots:
-            if slot.service is not None and slot.state == "serving":
+            if slot.service is not None:
                 _merge_labelled(
                     agg,
                     slot.service.metrics_registry(),
@@ -953,29 +695,9 @@ class ShardedSchedulingService:
                 )
             agg.gauge(
                 "service_shard_state",
-                "shard supervision state "
-                "(0=serving 1=recovering 2=quarantined 3=failed)",
+                "shard supervision state (0=serving 1=failed)",
                 shard=str(slot.index),
             ).set(shard_state_code(slot.state))
-            for name in SHARD_STATES:
-                agg.gauge(
-                    "service_shard_state_info",
-                    "one-hot shard supervision state",
-                    shard=str(slot.index),
-                    state=name,
-                ).set(1.0 if name == slot.state else 0.0)
-            agg.counter(
-                "service_shard_state_changes_total",
-                "shard supervision transitions since start",
-                shard=str(slot.index),
-            ).inc(slot.state_changes)
-            for alpha, cap in enumerate(slot.effective_capacities):
-                agg.gauge(
-                    "service_shard_capacity",
-                    "accounting-plane capacity per shard and category",
-                    shard=str(slot.index),
-                    category=str(alpha),
-                ).set(cap)
         agg.gauge(
             "service_shards", "configured shard count"
         ).set(self.num_shards)
@@ -985,7 +707,7 @@ class ShardedSchedulingService:
         ).inc(self.supervisor.failovers)
         agg.counter(
             "service_shard_rejections_total",
-            "router-level shard-recovering rejections",
+            "router-level shard-failed rejections",
         ).inc(self._rejected)
         return agg
 

@@ -139,50 +139,57 @@ def makespan_lower_bound(jobset: JobSet, machine: KResourceMachine) -> float:
     _check(jobset, machine)
     work = jobset.total_work_vector()
     work_bound = float(np.max(work / machine.throughput_vector()))
+    return max(_release_plus_span(jobset, machine), work_bound)
+
+
+def _release_plus_span(jobset: JobSet, machine: KResourceMachine) -> float:
+    """``max_i (r_i + T_inf(Ji))``, the span weighted by the machine's
+    speeds when one is above 1."""
     if machine.max_speed == 1:
-        span_bound = float(jobset.max_release_plus_span())
-    else:
-        span_bound = max(
-            (
-                job.release_time + job_weighted_span(job, machine.speeds)
-                for job in jobset
-            ),
-            default=0.0,
-        )
-    return max(span_bound, work_bound)
+        return float(jobset.max_release_plus_span())
+    return max(
+        (
+            job.release_time + job_weighted_span(job, machine.speeds)
+            for job in jobset
+        ),
+        default=0.0,
+    )
 
 
 def time_expanded_lower_bound(
-    jobset: JobSet, schedule, horizon: int
+    jobset: JobSet, machine: KResourceMachine, schedule, horizon: int
 ) -> float:
     """Earliest completion any schedule could reach on a time-varying machine.
 
     ``schedule`` is any callable ``t -> capacities`` giving the *realized*
-    per-category processor counts at step ``t`` — a
+    per-category processor counts of ``machine`` at step ``t`` — a
     :class:`~repro.machine.churn.ChurnSchedule` (outages and random
     availability included; capacities may exceed nominal), or any other
     availability profile.
 
     Necessary conditions on any valid schedule of the same run: by the
     finish step ``T``, the machine has cumulatively offered at least
-    ``T1(J, alpha)`` processor-steps of every category, and ``T`` is at
-    least the release+span bound ``max_i (r_i + T_inf(Ji))``.  The
-    smallest ``T`` meeting both is therefore a sound lower bound for
-    *every* scheduler on this (job set, availability profile) pair —
-    the fault/churn-aware generalisation of :func:`makespan_lower_bound`,
-    to which it reduces when capacities are constant.
+    ``T1(J, alpha)`` units of work in every category (``P_alpha(t) *
+    s_alpha`` per step), and ``T`` is at least the release+span bound of
+    :func:`makespan_lower_bound`.  The smallest ``T`` meeting both is
+    therefore a sound lower bound for *every* scheduler on this (job
+    set, machine, availability profile) triple — the fault/churn-aware
+    generalisation of :func:`makespan_lower_bound`, to which it reduces
+    when capacities are constant.
     """
+    _check(jobset, machine)
     if horizon < 1:
         raise ReproError(f"horizon must be >= 1, got {horizon}")
     need = jobset.total_work_vector().astype(np.int64)
+    speeds = np.asarray(machine.speeds, dtype=np.int64)
     offered = np.zeros_like(need)
     work_time = horizon  # fallback when the horizon is never enough
     for t in range(1, horizon + 1):
-        offered += np.asarray(schedule(t), dtype=np.int64)
+        offered += np.asarray(schedule(t), dtype=np.int64) * speeds
         if (offered >= need).all():
             work_time = t
             break
-    return float(max(work_time, jobset.max_release_plus_span()))
+    return float(max(work_time, _release_plus_span(jobset, machine)))
 
 
 def lemma2_bound(jobset: JobSet, machine: KResourceMachine) -> float:

@@ -360,7 +360,7 @@ class TestChurnCertificate:
         r = simulate(machine2, KRad(), js, churn=churn)
         ratio = bounds.theorem3_ratio(2, max(churn.peak_capacities()))
         lb = bounds.time_expanded_lower_bound(
-            js, churn.capacities, horizon=2 * r.makespan + 10
+            js, machine2, churn.capacities, horizon=2 * r.makespan + 10
         )
         assert lb >= 1
         assert r.makespan <= ratio * lb + 1e-9
@@ -369,10 +369,33 @@ class TestChurnCertificate:
         js = workloads.random_dag_jobset(rng, 2, 8, size_hint=20)
         lb_plain = bounds.makespan_lower_bound(js, machine2)
         lb_time = bounds.time_expanded_lower_bound(
-            js, lambda t: (4, 2), horizon=10_000
+            js, machine2, lambda t: (4, 2), horizon=10_000
         )
         assert lb_time == pytest.approx(np.ceil(lb_plain), abs=1.0)
         assert lb_time >= lb_plain - 1e-9
+
+    def test_time_expanded_lb_reads_machine_speeds(self):
+        """Above unit speed a step offers ``P_alpha(t) * s_alpha`` work
+        units and the span term is speed-weighted, so the bound stays
+        below every measured makespan.  Counting processor-steps and
+        plain spans put it above 14 of these 20 (seed 0: bound 52 over
+        a makespan of 42)."""
+        machine = KResourceMachine((2, 2), speeds=(1, 4))
+        for seed in range(20):
+            js = workloads.random_dag_jobset(
+                np.random.default_rng(seed), 2, 6
+            )
+            churn = ChurnSchedule(
+                (2, 2),
+                [ChurnEvent(step=3, category=0, delta=-1, duration=4)],
+            )
+            lb = bounds.time_expanded_lower_bound(
+                js, machine, churn.capacities, horizon=10_000
+            )
+            r = simulate(machine, KRad(), js, churn=churn, seed=0)
+            assert r.makespan >= lb, (seed, r.makespan, lb)
+            if seed == 0:
+                assert (r.makespan, lb) == (42, 30.0)
 
 
 class TestChurnCheckpoint:

@@ -584,42 +584,66 @@ class TestServeCli:
             (["serve", "--tenant-quota", "0"], "tenant_quota"),
             (["serve", "--shed-horizon", "0"], "shed_horizon"),
             (["serve", "--shards", "0"], "--shards"),
-            (
-                [
-                    "serve", "--shards", "2", "--supervised",
-                    "--port", "7000", "--journal", "x.journal",
-                ],
-                "recovery story",
-            ),
-            (
+            # the ids below were numbered with a tenth case that
+            # refused --shards with --supervised; pinned so they stay
+            pytest.param(
                 ["serve", "--shards", "2", "--availability", "0.5"],
                 "single-service only",
+                id="argv11-single-service only",
             ),
-            (
+            pytest.param(
                 ["serve", "--shards", "2", "--churn", "5:0:-1"],
                 "single-service only",
+                id="argv12-single-service only",
             ),
-            (
+            pytest.param(
                 ["serve", "--capacities", "4,1", "--shards", "2"],
                 "every shard needs",
+                id="argv13-every shard needs",
             ),
-            (
+            pytest.param(
                 ["submit", "--connect", "1.2.3.4:1", "--socket", "/tmp/x"],
                 "--connect and --socket",
+                id="argv14---connect and --socket",
             ),
-            (["submit", "--jobs", "3"], "where is the service"),
-            (["submit", "--connect", "nocolon"], "HOST:PORT"),
-            (
+            pytest.param(
+                ["submit", "--jobs", "3"],
+                "where is the service",
+                id="argv15-where is the service",
+            ),
+            pytest.param(
+                ["submit", "--connect", "nocolon"],
+                "HOST:PORT",
+                id="argv16-HOST:PORT",
+            ),
+            pytest.param(
                 [
                     "submit", "--connect", "1.2.3.4:1",
                     "--job-file", "x.json", "--jobs", "2",
                 ],
                 "pick one source",
+                id="argv17-pick one source",
             ),
-            (["drain", "--connect", "nope"], "HOST:PORT"),
-            (["drain"], "where is the service"),
-            (["shards", "status", "--connect", "nope"], "HOST:PORT"),
-            (["shards", "status"], "where is the service"),
+            pytest.param(
+                ["drain", "--connect", "nope"],
+                "HOST:PORT",
+                id="argv18-HOST:PORT",
+            ),
+            pytest.param(
+                ["drain"],
+                "where is the service",
+                id="argv19-where is the service",
+            ),
+            pytest.param(
+                ["shards", "status", "--connect", "nope"],
+                "HOST:PORT",
+                id="argv20-HOST:PORT",
+            ),
+            pytest.param(
+                ["shards", "status"],
+                "where is the service",
+                id="argv21-where is the service",
+            ),
             pytest.param(
                 ["recover", "x.journal", "--max-attempts", "2"],
                 "kill_rate",
@@ -633,6 +657,46 @@ class TestServeCli:
         assert fragment in err
         assert "Traceback" not in err
         assert err.strip().count("\n") == 0
+
+    def test_supervised_fleet_runs_under_the_watchdog(
+        self, capsys, monkeypatch
+    ):
+        """--supervised --shards N takes the watchdog path: the child
+        is the same serve command, --shards included, without
+        --supervised.  No process is started."""
+        import subprocess
+
+        import repro.service
+
+        spawned = []
+
+        class FakeChild:
+            pid = 4242
+
+            def __init__(self, argv):
+                spawned.append(argv)
+
+        class FakeWatchdog:
+            def __init__(self, spawn, probe, **kwargs):
+                self.spawn = spawn
+
+            def run(self):
+                self.spawn()
+                return 0
+
+        monkeypatch.setattr(subprocess, "Popen", FakeChild)
+        monkeypatch.setattr(repro.service, "Watchdog", FakeWatchdog)
+        argv = [
+            "serve", "--shards", "2", "--supervised",
+            "--port", "7000", "--journal", "x.journal",
+        ]
+        assert main(argv) == 0
+        assert "watchdog: child pid 4242" in capsys.readouterr().out
+        [child] = spawned
+        assert child[child.index("serve"):] == [
+            "serve", "--shards", "2",
+            "--port", "7000", "--journal", "x.journal",
+        ]
 
     def test_submit_unreachable_service(self, capsys):
         # port 1 is never listening; transport errors are CLI errors

@@ -143,13 +143,17 @@ class TestRejectionReasonDocs:
         # the enum and the tuple are the same vocabulary
         assert set(REASON_CODES) == {r.value for r in RejectionReason}
 
-    def test_fault_matrix_names_every_shard_fault_kind(self):
-        from repro.service import SHARD_FAULT_KINDS
 
-        text = read("docs/SERVICE.md")
-        matrix = text.split("The fault matrix", 1)[1].split("\n\n", 2)[1]
-        for kind in SHARD_FAULT_KINDS:
-            assert kind in matrix, (
-                f"shard fault kind {kind!r} missing from the "
-                "docs/SERVICE.md fault matrix"
-            )
+class TestShardStateDocs:
+    def test_every_shard_state_documented(self):
+        """docs/SERVICE.md's sharding section lists exactly the shard
+        states the supervisor can be in."""
+        from repro.service import SHARD_STATES
+
+        section = read("docs/SERVICE.md").split("\n## Sharding", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = re.findall(r"^\* \*\*`([a-z-]+)`\*\*", section, re.M)
+        assert documented == list(SHARD_STATES), (
+            f"docs/SERVICE.md documents shard states {documented}, "
+            f"repro.service.SHARD_STATES is {SHARD_STATES}"
+        )
