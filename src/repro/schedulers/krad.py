@@ -130,66 +130,55 @@ class KRadBatch:
             self._cats.append(c)
 
     # ------------------------------------------------------------------
-    def sync(self, surv_pos, perm, fresh_pos, new_jids) -> None:
-        """Reconcile rows with the engine's new live set.
+    def sync(self, keep, n_fresh: int, jids: list[int]) -> None:
+        """Apply one membership change to the rows, as ``prune`` +
+        ``register`` do on the list form.
 
-        ``new_jids`` is the new live list; row ``surv_pos[i]`` of the new
-        layout is old row ``perm[i]`` (surviving jobs keep seq and mark —
-        including a killed-and-resubmitted job that never left the live
-        set between two allocations, mirroring the list form where such a
-        job is never pruned), and ``fresh_pos`` rows are newcomers
-        registered at the queue back in row order.  Rows absent from
-        ``perm`` are pruned.
+        ``keep`` is a boolean mask over the current rows, or ``None``
+        when none departed: the rows it clears are pruned (their marks
+        leave ``n_marked``), and the survivors keep their seq and mark in
+        their old order.  Then ``n_fresh`` newcomers are registered at
+        the queue back in row order.  ``jids`` is the new live list: the
+        survivors in their old order, then the newcomers in arrival
+        order.
         """
-        n = len(new_jids)
-        sp = np.asarray(surv_pos, dtype=np.intp)
-        pm = np.asarray(perm, dtype=np.intp)
-        fp = np.asarray(fresh_pos, dtype=np.intp)
+        if n_fresh:
+            fresh_seq = np.arange(n_fresh)
+            fresh_marked = np.zeros(n_fresh, dtype=bool)
         for c in self._cats:
-            seq = np.empty(n, dtype=np.int64)
-            marked = np.zeros(n, dtype=bool)
-            if sp.size:
-                seq[sp] = c.seq[pm]
-                marked[sp] = c.marked[pm]
-            if fp.size:
-                seq[fp] = np.arange(
-                    c.next_seq, c.next_seq + fp.size, dtype=np.int64
-                )
-                c.next_seq += int(fp.size)
-            c.seq = seq
-            c.marked = marked
-            c.n_marked = int(marked.sum())
-        self.jids = list(new_jids)
+            if keep is not None:
+                c.seq = c.seq[keep]
+                c.marked = c.marked[keep]
+                if c.n_marked:
+                    c.n_marked = int(np.count_nonzero(c.marked))
+            if n_fresh:
+                c.seq = np.concatenate((c.seq, fresh_seq + c.next_seq))
+                c.marked = np.concatenate((c.marked, fresh_marked))
+                c.next_seq += n_fresh
+        self.jids = jids
 
     # ------------------------------------------------------------------
-    def allocate_matrix(
-        self, desire_matrix: np.ndarray, capacities
-    ) -> np.ndarray:
+    def allocate_matrix(self, desire_matrix: np.ndarray, capacities):
         """One K-RAD step over the ``(n, K)`` desire matrix.
 
-        Returns the ``(n, K)`` allotment matrix, row-aligned with
-        :attr:`jids`: the same values and state evolution as
-        :meth:`KRad.allocate` — round-robin picks in queue order, then
-        DEQ's satisfaction rounds.  DEQ rounds run through
-        :func:`deq_allocate` so per-job integer remainders match the
-        reference bit-for-bit.
+        Returns ``(A, served, totals)``: the ``(n, K)`` allotment matrix,
+        row-aligned with :attr:`jids`, with the same values and state
+        evolution as :meth:`KRad.allocate` — round-robin picks in queue
+        order, then DEQ's satisfaction rounds; the ascending rows that
+        received any processor; and each category's allotment total.
+        DEQ rounds run through :func:`deq_allocate` so per-job integer
+        remainders match the reference bit-for-bit.
         """
         n = len(self.jids)
         k = len(self._cats)
         A = np.zeros((n, k), dtype=np.int64)
-        if n == 0:
-            for c in self._cats:
-                if c.n_marked:
-                    c.transitions["rr_to_deq"] += 1
-                    c.marked[:] = False
-                    c.n_marked = 0
-            return A
+        totals = np.zeros(k, dtype=np.int64)
+        served = np.zeros(n, dtype=bool)
         active_mask = desire_matrix > 0
+        busy = active_mask.any(axis=0).tolist()
         jids = self.jids
         for alpha, c in enumerate(self._cats):
-            cap = int(capacities[alpha])
-            act = np.flatnonzero(active_mask[:, alpha])
-            if act.size == 0:
+            if not busy[alpha]:
                 if c.n_marked:
                     # No active job while a cycle is open: the DEQ step
                     # that would close it is empty, but the cycle still
@@ -199,6 +188,8 @@ class KRadBatch:
                     c.marked[:] = False
                     c.n_marked = 0
                 continue
+            cap = int(capacities[alpha])
+            act = active_mask[:, alpha].nonzero()[0]
             seq = c.seq
             act_marked = c.marked[act]
             unmarked = act[~act_marked]
@@ -208,54 +199,51 @@ class KRadBatch:
                 if cap > 0:
                     if c.n_marked == 0:
                         c.transitions["deq_to_rr"] += 1
-                    chosen = unmarked[np.argsort(seq[unmarked])[:cap]]
+                    chosen = unmarked[seq[unmarked].argsort()[:cap]]
                     c.marked[chosen] = True
-                    c.n_marked += int(chosen.size)
+                    c.n_marked += cap
                     if c.rotate:
-                        seq[chosen] = np.arange(
-                            c.next_seq,
-                            c.next_seq + chosen.size,
-                            dtype=np.int64,
-                        )
-                        c.next_seq += int(chosen.size)
+                        seq[chosen] = np.arange(c.next_seq, c.next_seq + cap)
+                        c.next_seq += cap
                     A[chosen, alpha] = 1
+                    served[chosen] = True
+                    totals[alpha] = cap
                 continue
             # DEQ step (closing any open cycle): unmarked actives plus
             # the first min(|Q'|, cap - |Q|) marked actives, queue order.
             mact = act[act_marked]
-            take = min(int(mact.size), cap - int(unmarked.size))
+            take = min(mact.size, cap - unmarked.size)
             closing = c.n_marked > 0
             if closing:
                 c.transitions["rr_to_deq"] += 1
                 c.marked[:] = False
                 c.n_marked = 0
-            if unmarked.size:
-                part = unmarked[np.argsort(seq[unmarked])]
-            else:
-                part = unmarked
+            part = unmarked[seq[unmarked].argsort()].tolist()
             if take > 0:
-                m_sorted = mact[np.argsort(seq[mact])][:take]
-                part = np.concatenate([part, m_sorted])
-            if part.size == 0:
+                part += mact[seq[mact].argsort()[:take]].tolist()
+            if not part:
                 continue
-            part_list = part.tolist()
             col = desire_matrix[part, alpha].tolist()
-            queue = [jids[r] for r in part_list]
+            queue = [jids[r] for r in part]
             alloc = deq_allocate(queue, dict(zip(queue, col)), cap)
-            rowpos = dict(zip(queue, part_list))
             served_rows: list[int] = []
-            for jid, a in alloc.items():
+            total = 0
+            for r, jid in zip(part, queue):
+                a = alloc.get(jid)
                 if a:
-                    A[rowpos[jid], alpha] = a
-                    served_rows.append(rowpos[jid])
-            if closing and c.rotate and served_rows:
-                sr = np.asarray(served_rows, dtype=np.intp)
-                sr = sr[np.argsort(seq[sr])]
-                seq[sr] = np.arange(
-                    c.next_seq, c.next_seq + sr.size, dtype=np.int64
-                )
-                c.next_seq += int(sr.size)
-        return A
+                    A[r, alpha] = a
+                    served_rows.append(r)
+                    total += a
+            if not served_rows:
+                continue
+            served[served_rows] = True
+            totals[alpha] = total
+            if closing and c.rotate:
+                sr = np.asarray(served_rows)
+                sr = sr[seq[sr].argsort()]
+                seq[sr] = np.arange(c.next_seq, c.next_seq + sr.size)
+                c.next_seq += sr.size
+        return A, served.nonzero()[0], totals
 
     #: the one kernel under both names (``perfbench/tracer.py`` wraps
     #: each name it finds in the class dict)

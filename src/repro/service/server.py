@@ -117,7 +117,11 @@ class ServiceServer:
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
-        self._drained: asyncio.Event | None = None
+        #: set when serving is over: a drain completed or a tick raised
+        self._done: asyncio.Event | None = None
+        #: what a tick raised, once one did, and the reply it earns
+        self._tick_exc: Exception | None = None
+        self._tick_error: str | None = None
         self._stopping = False
         self.address: tuple[str, int] | str | None = None
         self.metrics_address: tuple[str, int] | None = None
@@ -130,7 +134,7 @@ class ServiceServer:
         if self._server is not None:
             raise ServiceError("server already started")
         self._work = asyncio.Event()
-        self._drained = asyncio.Event()
+        self._done = asyncio.Event()
         if self._unix_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_conn, path=self._unix_path
@@ -155,13 +159,21 @@ class ServiceServer:
         ]
 
     async def serve_until_drained(self) -> None:
-        """Block until a ``drain`` request completes, then shut down."""
-        assert self._drained is not None, "call start() first"
-        await self._drained.wait()
+        """Block until a ``drain`` request completes, then shut down.
+
+        Raises :class:`ServiceError` when the engine stopped instead: a
+        tick raised, so the service can no longer keep its promises and
+        the process should exit as crashed (a watchdog then restarts it
+        from its journal).
+        """
+        assert self._done is not None, "call start() first"
+        await self._done.wait()
         # Let in-flight responses (the drain summary itself) flush
         # before the sockets go away.
         await asyncio.sleep(0.05)
         await self.stop()
+        if self._tick_error is not None:
+            raise ServiceError(self._tick_error) from self._tick_exc
 
     async def stop(self) -> None:
         """Close sockets and cancel background tasks (idempotent)."""
@@ -211,6 +223,8 @@ class ServiceServer:
                 await asyncio.sleep(0)
 
     def _do_submit(self, tenant: str, payload: dict) -> dict:
+        if self._tick_error is not None:
+            return {"ok": False, "error": self._tick_error}
         # Catch broadly: one malformed payload must never kill the
         # dispatcher, or every queued submission behind it would hang.
         try:
@@ -227,10 +241,25 @@ class ServiceServer:
             return {"ok": False, "error": f"bad submit request: {exc}"}
 
     async def _tick_loop(self) -> None:
-        """Advance the engine while admitted work exists."""
+        """Advance the engine while admitted work exists.
+
+        A tick that raises stops the engine for good: the error is
+        recorded, every later request (``ping`` included) is answered
+        ``ok: false`` with it, and :meth:`serve_until_drained` raises.
+        A server whose clock has stopped never looks alive.
+        """
         while not self._stopping:
             if self.service.result is None:
-                quiescent = self.service.tick()
+                try:
+                    quiescent = self.service.tick()
+                except Exception as exc:  # noqa: BLE001 - stop, never limp on
+                    self._tick_exc = exc
+                    self._tick_error = (
+                        f"engine tick failed: {type(exc).__name__}: {exc}"
+                    )
+                    assert self._done is not None
+                    self._done.set()
+                    return
             else:
                 quiescent = True
             # Idle (or drained) services poll slowly; busy ones fast.
@@ -290,6 +319,8 @@ class ServiceServer:
                 pass
 
     async def _handle_request(self, payload: dict) -> dict:
+        if self._tick_error is not None:
+            return {"ok": False, "error": self._tick_error}
         op = payload.get("op")
         svc = self.service
         try:
@@ -339,8 +370,8 @@ class ServiceServer:
         while self._queue:
             await asyncio.sleep(0)
         summary = self.service.drain()
-        assert self._drained is not None
-        self._drained.set()
+        assert self._done is not None
+        self._done.set()
         return summary
 
     # ------------------------------------------------------------------
@@ -362,13 +393,16 @@ class ServiceServer:
                 status = "200 OK"
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
             elif path == "/healthz":
-                health = self.service.health()
+                if self._tick_error is not None:
+                    health = {"ok": False, "error": self._tick_error}
+                else:
+                    health = self.service.health()
                 body = json.dumps(health).encode() + b"\n"
                 # Anything off the healthy rung answers 503 so load
                 # balancers and probes act on the body's named state.
                 status = (
                     "200 OK"
-                    if health["state"] == "healthy"
+                    if health.get("state") == "healthy"
                     else "503 Service Unavailable"
                 )
                 ctype = "application/json"

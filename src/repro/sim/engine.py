@@ -823,14 +823,15 @@ class Simulator:
                 "copy (job.fresh_copy()) instead"
             )
         jid = job.job_id
+        # ``release`` holds every pending, live and retrying id (only a
+        # cancel, a quarantine or a final failure pops it), so these are
+        # O(1) lookups, not scans of the pending list and retry heap.
         if (
             jid in st.release
             or jid in st.completion
             or jid in st.alive
             or jid in st.quarantined
             or jid in st.attempts
-            or any(j.job_id == jid for j in st.pending)
-            or any(e[1] == jid for e in st.resubmit)
         ):
             raise SimulationError(
                 f"job id {jid} is already known to this run; submissions "

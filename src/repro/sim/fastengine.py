@@ -19,18 +19,24 @@ schedulers and traced runs the reference step is the faster one.  A lean run ste
 through three mechanisms:
 
 1. **Phase arrays.**  The jobs' runtime state — current-phase remaining
-   work, parallelism, phase index, executed counter — lives in ``(n, K)``
-   arrays, and the desire matrix is derived from them; each step's
-   allotment matrix is applied with a handful of numpy operations instead
-   of one ``Job.execute`` call per served job.  Job objects are
-   re-synchronised from the arrays at completion and whenever the
-   stepping loop returns, so digests, checkpoints and paused runs see
-   exactly the reference engine's jobs.
+   work, parallelism, desire, phase index, executed counter — lives in
+   one row block, one row per live job in arrival order, with an
+   ``(n, K)`` column view per vector; each step's allotment matrix is
+   applied with a handful of numpy operations instead of one
+   ``Job.execute`` call per served job.  Rows are appended on arrival
+   (only the fresh rows are read from their jobs) and compacted with
+   one boolean mask on completion, so a step pays for what changed in
+   it, not for every live row.  Job objects are re-synchronised from the
+   arrays at completion and whenever the stepping loop returns, so
+   digests, checkpoints and paused runs see exactly the reference
+   engine's jobs.
 
 2. **Vectorised K-RAD.**  Allocation runs through
    :meth:`~repro.schedulers.krad.KRad.begin_batch`: numpy kernels over the
    desire matrix (argsorts over service-sequence numbers replace per-job
-   Python list scans), bit-identical to :meth:`KRad.allocate`.
+   Python list scans), bit-identical to :meth:`KRad.allocate`.  The
+   batch hands back the rows it served and each category's total along
+   with the allotment matrix, so the step does not reduce it again.
 
 3. **Quiescent-span skipping.**  After a step in which every category
    was in DEQ mode (no open round-robin cycle) and the whole desire
@@ -98,7 +104,12 @@ class FastSimulator(Simulator):
 
     # ------------------------------------------------------------------
     def _ft_build(self) -> None:
-        """Decide lean eligibility for the run and load the arrays."""
+        """Decide lean eligibility for the run and load the arrays.
+
+        The only full load: the first lean step of a run, which after a
+        journal replay takes over the replayed state.  Every later
+        membership change goes through :meth:`_ft_sync`.
+        """
         st = self._state
         # Strict type checks: a KRad or PhaseJob *subclass* may override
         # allocate or execute, so only the exact classes run lean.  A
@@ -118,23 +129,18 @@ class FastSimulator(Simulator):
         if not self._ft_lean:
             return
         self._ft_jids: list[int] = list(st.alive)
-        self._ft_jobs: list[Job] = [st.alive[j] for j in self._ft_jids]
-        n = len(self._ft_jids)
-        k = self._machine.num_categories
-        self._ft_D = np.zeros((n, k), dtype=np.int64)
-        self._ft_R = np.zeros((n, k), dtype=np.int64)
-        self._ft_P = np.zeros((n, k), dtype=np.int64)
-        self._ft_PI = np.zeros(n, dtype=np.int64)
-        self._ft_LPI = np.zeros(n, dtype=np.int64)
-        self._ft_EC = np.zeros(n, dtype=np.int64)
-        for i, job in enumerate(self._ft_jobs):
-            self._ft_read_row(i, job)
+        self._ft_jobs: list[Job] = list(st.alive.values())
+        #: rows the completion branch emptied since the last sync
+        self._ft_gone: list[int] = []
+        self._ft_load(self._ft_rows(self._ft_jobs))
         self._ft_batch = self._scheduler.begin_batch(self._ft_jids)
         prev = self._obs_prev_alloc
         if prev is not None:
             # Reference steps ran first (journal replay on recovery) and
             # left a dict snapshot: realign it into the matrix form and
             # bank departed jobs in the carry, as _ft_sync does.
+            n = len(self._ft_jids)
+            k = self._machine.num_categories
             row = {jid: i for i, jid in enumerate(self._ft_jids)}
             P = np.zeros((n, k), dtype=np.int64)
             for jid, a in prev.items():
@@ -145,19 +151,41 @@ class FastSimulator(Simulator):
             self._obs_prev_alloc = ["matrix", self._ft_jids, P]
 
     # ------------------------------------------------------------------
-    def _ft_read_row(self, i: int, job: Job) -> None:
-        """Load one job's runtime state into row ``i`` of the lean arrays."""
-        rs = job.runtime_state()
-        pi = int(rs["phase_idx"])
-        self._ft_PI[i] = pi
-        self._ft_LPI[i] = int(rs["last_phase_idx"])
-        self._ft_R[i] = rs["remaining"]
-        self._ft_EC[i] = int(rs["executed_counter"])
-        phases = job.phases
-        if pi < len(phases):
-            self._ft_P[i] = phases[pi].parallelism
-        # PhaseJob.desire_vector: min(parallelism, remaining)
-        np.minimum(self._ft_P[i], self._ft_R[i], out=self._ft_D[i])
+    def _ft_rows(self, jobs: list[Job]) -> np.ndarray:
+        """The lean state rows of ``jobs``, read from their runtime state.
+
+        A row is ``[R | P | D | phase, last phase, executed]``: remaining
+        work of the current phase, its parallelism and the desire
+        ``min(P, R)`` (``PhaseJob.desire_vector``), K columns each, then
+        three scalars.
+        """
+        k = self._machine.num_categories
+        rows = []
+        for job in jobs:
+            rs = job.runtime_state()
+            pi = rs["phase_idx"]
+            phases = job.phases
+            par = [0] * k
+            if pi < len(phases):
+                par = phases[pi].parallelism.tolist()
+            rows.append(
+                rs["remaining"] + par + [0] * k
+                + [pi, rs["last_phase_idx"], rs["executed_counter"]]
+            )
+        S = np.array(rows, dtype=np.int64).reshape(len(rows), 3 * k + 3)
+        np.minimum(S[:, k : 2 * k], S[:, :k], out=S[:, 2 * k : 3 * k])
+        return S
+
+    def _ft_load(self, S: np.ndarray) -> None:
+        """Install the row block ``S`` and its column views."""
+        k = self._machine.num_categories
+        self._ft_S = S
+        self._ft_R = S[:, :k]
+        self._ft_P = S[:, k : 2 * k]
+        self._ft_D = S[:, 2 * k : 3 * k]
+        self._ft_PI = S[:, 3 * k]
+        self._ft_LPI = S[:, 3 * k + 1]
+        self._ft_EC = S[:, 3 * k + 2]
 
     # ------------------------------------------------------------------
     def _ft_flush(self) -> None:
@@ -168,13 +196,14 @@ class FastSimulator(Simulator):
         """
         if not self._ft_stale:
             return
-        for i, job in enumerate(self._ft_jobs):
+        k = self._machine.num_categories
+        for job, row in zip(self._ft_jobs, self._ft_S.tolist()):
             job.restore_runtime_state(
                 {
-                    "phase_idx": int(self._ft_PI[i]),
-                    "last_phase_idx": int(self._ft_LPI[i]),
-                    "remaining": self._ft_R[i].tolist(),
-                    "executed_counter": int(self._ft_EC[i]),
+                    "phase_idx": row[3 * k],
+                    "last_phase_idx": row[3 * k + 1],
+                    "remaining": row[:k],
+                    "executed_counter": row[3 * k + 2],
                     "completion_time": job.completion_time,
                 }
             )
@@ -225,8 +254,17 @@ class FastSimulator(Simulator):
         return release
 
     # ------------------------------------------------------------------
-    def _ft_sync(self) -> None:
-        """Reconcile rows with the live set (arrivals/completions).
+    def _ft_sync(self, n_fresh: int) -> None:
+        """Apply the membership change since the last allocation.
+
+        A lean live set changes in two ways only: rows leave through
+        the lean step's completion branch (``_ft_gone``), and ``n_fresh``
+        arrivals join through :meth:`_begin_step`.  So one boolean mask
+        keeps the survivors and the arrivals are appended, reading only
+        their fresh rows.  The new row order is the survivors in their
+        old order, then the arrivals in arrival order — exactly
+        ``st.alive``'s dict order, which the reference scheduler's
+        register+prune also sees.
 
         Runs lazily at the next allocation after membership changed —
         the same point the reference scheduler's register+prune runs —
@@ -234,55 +272,37 @@ class FastSimulator(Simulator):
         the jobs that completed during it, exactly like the reference.
         """
         st = self._state
-        new_jids = list(st.alive)
-        old_idx = {jid: i for i, jid in enumerate(self._ft_jids)}
-        surv_pos: list[int] = []
-        perm: list[int] = []
-        fresh_pos: list[int] = []
-        for pos, jid in enumerate(new_jids):
-            row = old_idx.get(jid)
-            if row is None:
-                fresh_pos.append(pos)
-            else:
-                surv_pos.append(pos)
-                perm.append(row)
-        n = len(new_jids)
-
-        def gather(old: np.ndarray) -> np.ndarray:
-            """Surviving rows in their new positions, zeros elsewhere."""
-            new = np.zeros((n,) + old.shape[1:], dtype=np.int64)
-            if surv_pos:
-                new[surv_pos] = old[perm]
-            return new
-
-        self._ft_D, self._ft_R, self._ft_P = (
-            gather(self._ft_D),
-            gather(self._ft_R),
-            gather(self._ft_P),
-        )
-        self._ft_PI, self._ft_LPI, self._ft_EC = (
-            gather(self._ft_PI),
-            gather(self._ft_LPI),
-            gather(self._ft_EC),
-        )
-        self._ft_jobs = [st.alive[jid] for jid in new_jids]
-        for pos in fresh_pos:
-            self._ft_read_row(pos, self._ft_jobs[pos])
-        self._ft_batch.sync(surv_pos, perm, fresh_pos, new_jids)
+        S = self._ft_S
+        gone = self._ft_gone
+        keep = None
+        if gone:
+            keep = np.ones(S.shape[0], dtype=bool)
+            keep[gone] = False
+            self._ft_gone = []
+            S = S[keep]
+        self._ft_jids = list(st.alive)
+        self._ft_jobs = list(st.alive.values())
+        if n_fresh:
+            S = np.concatenate((S, self._ft_rows(self._ft_jobs[-n_fresh:])))
+        self._ft_load(S)
+        self._ft_batch.sync(keep, n_fresh, self._ft_jids)
         prev = self._obs_prev_alloc
         if prev is not None:
-            # Realign the previous-allotment matrix to the new row order
-            # so the per-step realloc diff stays one aligned subtraction.
+            # Align the previous-allotment matrix with the new rows so
+            # the per-step realloc diff stays one aligned subtraction.
             # Fresh rows start at zero (the next diff charges their full
             # allotment); departed rows are owed |prev - 0| and bank into
             # the carry, paid out by the next diff — together exactly
             # reallocation_volume's absent-job = zero-vector convention.
-            P_new = gather(prev[2])
-            self._obs_realloc_carry += float(
-                int(prev[2].sum()) - int(P_new.sum())
-            )
-            self._obs_prev_alloc = ["matrix", new_jids, P_new]
-        self._ft_jids = new_jids
+            P = prev[2]
+            if keep is not None:
+                self._obs_realloc_carry += float(P[gone].sum())
+                P = P[keep]
+            if n_fresh:
+                P = np.concatenate(
+                    (P, np.zeros((n_fresh, P.shape[1]), dtype=np.int64))
+                )
+            self._obs_prev_alloc = ["matrix", self._ft_jids, P]
 
     # ------------------------------------------------------------------
     def _ft_check_matrix(self, A: np.ndarray, caps_t) -> None:
@@ -359,17 +379,17 @@ class FastSimulator(Simulator):
         prof = obs.profiler if obs is not None else None
         t, arrivals, caps_t, _ = self._begin_step()
 
-        # Membership reconciliation happens exactly where the reference
-        # scheduler runs register+prune: at allocation time.  A lean live
-        # set only grows by arrivals and only shrinks by completions.
-        if arrivals or len(st.alive) != len(self._ft_jids):
-            self._ft_sync()
+        # Membership changes apply exactly where the reference scheduler
+        # runs register+prune: at allocation time.  A lean live set only
+        # grows by arrivals and only shrinks by completions.
+        if arrivals or self._ft_gone:
+            self._ft_sync(len(arrivals))
 
         # Allotment matrix in, array state update out.  No per-task ids
         # exist, so nothing per-job runs in Python except the rare
         # phase-barrier / completion events.
         D = self._ft_D
-        A = self._ft_batch.allocate_matrix(D, caps_t)
+        A, served, a_cols = self._ft_batch.allocate_matrix(D, caps_t)
         if self._validate:
             self._ft_check_matrix(A, caps_t)
         if prof is not None:
@@ -381,28 +401,30 @@ class FastSimulator(Simulator):
             if ones is None or ones.shape[0] != D.shape[0]:
                 ones = self._obs_ones = np.ones(D.shape[0], dtype=np.int64)
             obs_desired = ones @ D
-        row_tot = A.sum(axis=1)
-        served = np.flatnonzero(row_tot)
-        progress = int(row_tot.sum())
+        progress = 0
         completions: list[int] = []
-        a_cols = None
         if served.size:
             self._ft_stale = True
-            a_cols = A.sum(axis=0)
+            progress = int(a_cols.sum())
             st.busy += a_cols
-            R = self._ft_R
-            self._ft_LPI[served] = self._ft_PI[served]
-            self._ft_EC[served] += row_tot[served]
-            R[served] -= A[served]
-            done = served[~R[served].any(axis=1)]
+            R, P, PI = self._ft_R, self._ft_P, self._ft_PI
+            A_s = A[served]
+            self._ft_LPI[served] = PI[served]
+            self._ft_EC[served] += A_s.sum(axis=1)
+            R_s = R[served]
+            R_s -= A_s
+            R[served] = R_s
+            D[served] = np.minimum(P[served], R_s)
+            done = served[~R_s.any(axis=1)]
             for r in done.tolist():
-                pi = int(self._ft_PI[r]) + 1
-                self._ft_PI[r] = pi
+                pi = int(PI[r]) + 1
+                PI[r] = pi
                 job = self._ft_jobs[r]
                 if pi < len(job.phases):
                     phase = job.phases[pi]
                     R[r] = phase.work
-                    self._ft_P[r] = phase.parallelism
+                    P[r] = phase.parallelism
+                    np.minimum(phase.parallelism, phase.work, out=D[r])
                 else:
                     # completion: flush this row so the Job object is
                     # exactly what the reference engine would leave
@@ -419,7 +441,7 @@ class FastSimulator(Simulator):
                     st.completion[jid] = t
                     completions.append(jid)
                     del st.alive[jid]
-            D[served] = np.minimum(self._ft_P[served], R[served])
+                    self._ft_gone.append(r)
         if prof is not None:
             prof.lap("execution")
 
@@ -444,7 +466,7 @@ class FastSimulator(Simulator):
             self._obs_common(
                 t,
                 obs_desired,
-                a_cols if a_cols is not None else np.zeros_like(obs_desired),
+                a_cols,
                 realloc,
                 progress,
                 len(arrivals),

@@ -11,6 +11,7 @@ import pytest
 from repro.jobs import workloads
 from repro.machine import KResourceMachine
 from repro.machine.churn import ChurnEvent, ChurnSchedule
+from repro.obs import Observability
 from repro.schedulers import KRad
 from repro.sim import (
     CompositeFaultModel,
@@ -20,6 +21,7 @@ from repro.sim import (
     Supervisor,
     TaskFailures,
     assert_conformant,
+    conformance,
     default_monitors,
     engine_class,
     run_conformance,
@@ -309,6 +311,95 @@ def test_lean_sliced_injection_conforms(seed):
         _phase_build(seed, 3, (6, 3, 2), n_jobs=8, traced=False),
         _online_script(seed, 3),
     )
+
+
+#: lean churn script: a burst of BURST jobs released on one step, STREAM
+#: jobs arriving one per step while the burst completes, then REFILL
+#: jobs released at REFILL_AT, long after the live set ran empty
+BURST, STREAM, REFILL, REFILL_AT = 24, 30, 6, 5000
+
+
+def _lean_churn_script(seed):
+    def script():
+        rng = np.random.default_rng(seed + 200)
+        jobs = list(
+            workloads.random_phase_jobset(
+                rng, 2, BURST + STREAM + REFILL, max_phases=3, max_work=12
+            ).jobs
+        )
+        for i, job in enumerate(jobs):
+            job.job_id = 100 + i
+        burst = jobs[:BURST]
+        stream = jobs[BURST : BURST + STREAM]
+        refill = jobs[BURST + STREAM :]
+        return [
+            {"advance_to": 2},
+            *({"inject": job, "release_time": 3} for job in burst),
+            {"advance_to": 6},
+            *(
+                {"inject": job, "release_time": 7 + i}
+                for i, job in enumerate(stream)
+            ),
+            {"advance_to": 20},  # a slice boundary mid-stream
+            {"advance_to": REFILL_AT - 1},
+            *({"inject": job, "release_time": REFILL_AT} for job in refill),
+        ]
+
+    return script
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lean_membership_churn_conforms(seed, monkeypatch):
+    """Phase jobs only, so the fast engine stays on its lean kernel
+    throughout while rows arrive in a burst, join on steps where others
+    complete, and refill an emptied live set after an idle
+    fast-forward.  Per-action digests, the reallocation volume and the
+    run metrics equal the reference engine's."""
+    sims = {}
+    real = conformance.engine_class
+
+    def recording(name):
+        def make(*args, **kwargs):
+            sims[name] = real(name)(*args, **kwargs)
+            return sims[name]
+
+        return make
+
+    monkeypatch.setattr(conformance, "engine_class", recording)
+    build = _phase_build(seed, 2, (3, 2), n_jobs=4, traced=False)
+    report = conformance.assert_sliced_conformant(
+        lambda: dict(build(), obs=Observability()),
+        _lean_churn_script(seed),
+    )
+    assert sims["fast"]._ft_lean is True
+
+    # the script reached what it is for
+    fp = report.fingerprints["reference"]
+    ends = set(fp["completion_times"].values())
+    first = 100 + BURST + STREAM
+    arrivals = {fp["release_times"][j] + 1 for j in range(100 + BURST, first)}
+    assert arrivals & ends  # arrivals on a step where others complete
+    assert {a - 1 for a in arrivals} & ends  # and right after one
+    drained = [e for e in report.slices["reference"] if e[0] == "advance"]
+    assert drained[-1][2] and drained[-1][1] < REFILL_AT  # ran empty
+    assert fp["idle_steps"] > 0
+    done = fp["completion_times"]
+    assert min(done[j] for j in range(first, first + REFILL)) > REFILL_AT
+
+    ref, fast = (sims[e]._obs.metrics for e in ("reference", "fast"))
+    assert ref.realloc_units > 0
+    assert fast.realloc_units == ref.realloc_units
+    for field in ("steps", "progress", "arrivals", "completions",
+                  "idle_steps", "stall_steps"):
+        assert getattr(fast, field) == getattr(ref, field), field
+    assert (fast.desired == ref.desired).all()
+    assert (fast.allocated == ref.allocated).all()
+    assert fast.transitions == ref.transitions
+    for name in ("realloc", "satisfaction", "rr_depth", "step_utilization"):
+        f, r = getattr(fast, name), getattr(ref, name)
+        assert (f.counts, f.count) == (r.counts, r.count), name
+        # a skipped steady span adds its ratios in one product
+        assert f.sum == pytest.approx(r.sum), name
 
 
 def test_dag_injection_leaves_the_lean_kernel():

@@ -6,9 +6,19 @@ import pytest
 from repro.dag import builders
 from repro.errors import SimulationError
 from repro.jobs import JobSet, workloads
+from repro.jobs.phase_job import Phase, PhaseJob
 from repro.machine import KResourceMachine
 from repro.schedulers import DagShopScheduler, KRad, check_allotments
-from repro.sim import Simulator, simulate, validate_schedule
+from repro.sim import (
+    RetryPolicy,
+    ScriptedKills,
+    ScriptedViolation,
+    Simulator,
+    Supervisor,
+    engine_class,
+    simulate,
+    validate_schedule,
+)
 
 
 class TestEngineEdges:
@@ -119,3 +129,59 @@ class TestDagShopScheduler:
         # shop floor: per-job response >= per-job total work
         for j in js:
             assert r.response_time(j.job_id) >= j.total_work()
+
+
+class TestInjectKnownIds:
+    """``inject_job`` refuses every id the run already knows, in every
+    lifecycle state, and accepts a cancelled id again."""
+
+    @staticmethod
+    def _sim(engine):
+        def job(jid, work, release=0):
+            return PhaseJob([Phase([work], [1])], jid, release)
+
+        jobs = [
+            job(0, 50),  # live
+            job(1, 1),  # completes at step 1
+            job(2, 50),  # killed at step 6, retry waiting at step 6
+            job(3, 50),  # quarantined at step 2
+            job(4, 50),  # killed at steps 2 and 4: retries exhausted
+            job(5, 5, release=100),  # pending
+        ]
+        machine = KResourceMachine((6,))
+        return engine_class(engine)(
+            machine,
+            KRad(),
+            JobSet(jobs, num_categories=1),
+            seed=0,
+            fault_model=ScriptedKills({2: [4], 4: [4], 6: [2]}),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=1),
+            supervisor=Supervisor(
+                [ScriptedViolation(step=2, job_id=3)], mode="resilient"
+            ),
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_every_known_id_refused(self, engine):
+        sim = self._sim(engine)
+        sim.advance_until(6)
+        expected = {
+            0: "running",
+            1: "completed",
+            2: "retrying",
+            3: "quarantined",
+            4: "failed",
+            5: "pending",
+        }
+        assert {j: sim.job_state(j) for j in expected} == expected
+        for jid in expected:
+            with pytest.raises(SimulationError, match="already known"):
+                sim.inject_job(
+                    PhaseJob([Phase([3], [1])], jid), release_time=7
+                )
+        # a cancelled id leaves the run and may be submitted again
+        sim.cancel_pending(5)
+        assert sim.job_state(5) == "unknown"
+        sim.inject_job(PhaseJob([Phase([3], [1])], 5), release_time=7)
+        result = sim.run()
+        assert 5 in result.completion_times

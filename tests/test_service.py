@@ -10,17 +10,21 @@ effective release times — on both engines.
 
 from __future__ import annotations
 
+import asyncio
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro import JobSet, KResourceMachine, scheduler_by_name, simulate
+from repro.cli import main
 from repro.errors import ServiceError
 from repro.io.serialize import job_snapshot_from_dict, job_to_dict
 from repro.jobs import workloads
@@ -30,7 +34,9 @@ from repro.service import (
     SchedulingService,
     ServiceClient,
     ServiceConfig,
+    ServiceServer,
     ThreadedServer,
+    fetch_healthz,
     fetch_metrics_text,
 )
 
@@ -302,6 +308,89 @@ class TestServer:
                 urllib.request.urlopen(
                     f"http://{host}:{port}/nope", timeout=5
                 )
+
+    def test_raising_tick_stops_the_server(self, monkeypatch):
+        """A tick that raises (here: a full disk) stops the engine for
+        good.  Every later request, ``ping`` included, answers ``ok:
+        false`` with the error, so no probe mistakes a server whose
+        clock froze for a live one."""
+        failed = _fail_second_tick(monkeypatch)
+        svc = SchedulingService(
+            ServiceConfig(capacities=CAPS, seed=5, engine="fast"),
+            obs=Observability(),
+        )
+        with ThreadedServer(svc, metrics_port=0) as ts:
+            assert failed.wait(timeout=30)
+            with ServiceClient(ts.address, timeout=10.0) as cli:
+                docs = [
+                    cli.ping(),
+                    cli.stats(),
+                    cli.submit("t", job_to_dict(_jobs(8, 1)[0])),
+                    cli.drain(),
+                ]
+            status, health = fetch_healthz(ts.metrics_address)
+        assert status == 503
+        for doc in docs + [health]:
+            assert doc["ok"] is False
+            assert doc["error"].startswith("engine tick failed: OSError")
+            assert "No space left on device" in doc["error"]
+        assert svc.total_in_flight() == 0  # the refused submit never landed
+
+    def test_serve_until_drained_raises_after_a_failed_tick(
+        self, monkeypatch
+    ):
+        _fail_second_tick(monkeypatch)
+        server = ServiceServer(
+            SchedulingService(ServiceConfig(capacities=CAPS, seed=5))
+        )
+
+        async def serve():
+            await server.start()
+            await server.serve_until_drained()
+
+        with pytest.raises(ServiceError, match="engine tick failed"):
+            asyncio.run(asyncio.wait_for(serve(), timeout=30))
+
+    def test_krad_serve_exits_2_after_a_failed_tick(
+        self, monkeypatch, capsys
+    ):
+        """Exit code 2 is a crash to ``krad serve --supervised``'s
+        watchdog, which restarts the child from its journal."""
+        _fail_second_tick(monkeypatch)
+        rc = []
+        serve = threading.Thread(
+            target=lambda: rc.append(
+                main(["serve", "--capacities", "4,4", "--port", "0"])
+            ),
+            daemon=True,
+        )
+        serve.start()
+        serve.join(timeout=30)
+        assert rc == [2]
+        err = capsys.readouterr().err
+        assert "krad serve: engine tick failed: OSError" in err
+
+
+def _fail_second_tick(monkeypatch) -> threading.Event:
+    """Make the second :meth:`SchedulingService.tick` raise ENOSPC.
+
+    Returns an event set just before it raises: the tick runs on the
+    server's loop, which answers no request until the tick loop has
+    handled the error, so a request sent after the event sees it.
+    """
+    real = SchedulingService.tick
+    calls = []
+    failed = threading.Event()
+
+    def tick(self):
+        calls.append(self)
+        if len(calls) == 2:
+            failed.set()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self)
+
+    monkeypatch.setattr(SchedulingService, "tick", tick)
+    return failed
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -202,6 +203,18 @@ class _FullDisk(io.RawIOBase):
 
     def write(self, b):
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _SignallingFullDisk(_FullDisk):
+    """A :class:`_FullDisk` that sets ``hit`` before its write fails."""
+
+    def __init__(self):
+        super().__init__()
+        self.hit = threading.Event()
+
+    def write(self, b):
+        self.hit.set()
+        return super().write(b)
 
 
 def _leaked_handles(monkeypatch, release):
@@ -399,6 +412,29 @@ class TestSupervisionLadder:
         assert svc.stats()["rejected"] == 1
         samples = parse_prometheus_text(svc.metrics_text())
         assert samples["krad_service_shard_rejections_total"] == 1.0
+
+    def test_routing_journal_failure_in_failover_stops_the_server(
+        self, tmp_path, monkeypatch
+    ):
+        """The failover's routing record cannot be written (a full
+        disk): the error escapes the fleet's tick, and the server stops
+        and says why instead of serving a fleet whose clock froze."""
+        svc = self._fleet(tmp_path)
+        self._submit_both(svc)
+        svc.tick()
+        routing = svc.routing._journal
+        routing.close()
+        full = routing._fh = _SignallingFullDisk()
+        _raise_in_tick(monkeypatch, svc, 0, times=2)
+        with ThreadedServer(svc) as ts:
+            assert full.hit.wait(timeout=30)
+            with ServiceClient(ts.address, timeout=10.0) as cli:
+                docs = [cli.ping(), cli.shards_status()]
+        for doc in docs:
+            assert doc["ok"] is False
+            assert doc["error"].startswith("engine tick failed: OSError")
+            assert "No space left on device" in doc["error"]
+        svc.close()
 
     def _assert_failed_over(self, svc, victim, acks):
         """One failover moved the victim's tenant to the survivor, and
