@@ -1270,7 +1270,7 @@ def _submit_main(argv: list[str]) -> int:
 
     args = _build_submit_parser().parse_args(argv)
     # --retry arms the full resilience stack: outage ride-through with
-    # reconnects, idempotency tokens, breaker — not just retry_after.
+    # reconnects and idempotency tokens, not just retry_after.
     # The tighter socket timeout turns a swallowed response into a fast
     # retry instead of a 30 s stall.
     retry = (

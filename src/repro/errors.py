@@ -107,15 +107,3 @@ class DeadlineExceeded(ServiceError):
         self.elapsed = float(elapsed)
         self.last_error = last_error
 
-
-class CircuitOpenError(ServiceError):
-    """Raised when a client request is refused locally because the
-    per-endpoint circuit breaker is open.  ``retry_after`` is the
-    wall-clock seconds until the breaker will allow a half-open probe."""
-
-    def __init__(
-        self, message: str, *, op: str, retry_after: float
-    ) -> None:
-        super().__init__(message)
-        self.op = str(op)
-        self.retry_after = float(retry_after)

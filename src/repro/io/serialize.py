@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from repro.dag.kdag import KDag
 from repro.errors import SerializationError
 from repro.jobs.base import Job
@@ -56,6 +58,36 @@ def _check_header(data: dict, expected: str) -> None:
         )
 
 
+def _field(data: dict, key: str, doc: str) -> Any:
+    """``data[key]``, or a :class:`SerializationError` naming the field."""
+    try:
+        return data[key]
+    except KeyError:
+        raise SerializationError(
+            f"{doc} document has no {key!r} field"
+        ) from None
+
+
+def _int_field(data: dict, key: str, doc: str) -> int:
+    value = _field(data, key, doc)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"{doc} field {key!r} must be an integer, got {value!r}"
+        ) from None
+
+
+def _list_field(data: dict, key: str, doc: str) -> list:
+    value = _field(data, key, doc)
+    if not isinstance(value, list):
+        raise SerializationError(
+            f"{doc} field {key!r} must be a list, got "
+            f"{type(value).__name__}"
+        )
+    return value
+
+
 # ----------------------------------------------------------------------
 # machine
 # ----------------------------------------------------------------------
@@ -95,10 +127,23 @@ def dag_to_dict(dag: KDag) -> dict[str, Any]:
 
 def dag_from_dict(data: dict[str, Any]) -> KDag:
     _check_header(data, "kdag")
-    dag = KDag(data["num_categories"])
-    for c in data["categories"]:
-        dag.add_vertex(int(c))
-    dag.add_edges((int(u), int(v)) for u, v in data["edges"])
+    dag = KDag(_int_field(data, "num_categories", "kdag"))
+    categories = _list_field(data, "categories", "kdag")
+    edges = _list_field(data, "edges", "kdag")
+    try:
+        for c in categories:
+            dag.add_vertex(int(c))
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"kdag field 'categories' must be a list of integers, got "
+            f"{categories!r}"
+        ) from None
+    try:
+        dag.add_edges((int(u), int(v)) for u, v in edges)
+    except (TypeError, ValueError):
+        raise SerializationError(
+            "kdag field 'edges' must be a list of [u, v] integer pairs"
+        ) from None
     dag.validate()
     return dag
 
@@ -136,24 +181,54 @@ def job_to_dict(job: Job) -> dict[str, Any]:
 
 
 def job_from_dict(data: dict[str, Any]) -> Job:
+    """Rebuild a fresh job from :func:`job_to_dict` output.
+
+    A malformed document raises :class:`SerializationError` naming the
+    field, never a bare ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
     _check_header(data, "job")
     backend = data.get("backend")
+    if backend not in ("dag", "phase"):
+        raise SerializationError(f"unknown job backend {backend!r}")
+    job_id = _int_field(data, "job_id", "job")
+    release_time = _int_field(data, "release_time", "job")
     if backend == "dag":
         return DagJob(
-            dag_from_dict(data["dag"]),
-            job_id=int(data["job_id"]),
-            release_time=int(data["release_time"]),
+            dag_from_dict(_field(data, "dag", "job")),
+            job_id=job_id,
+            release_time=release_time,
         )
-    if backend == "phase":
-        phases = [
-            Phase(ph["work"], ph["parallelism"]) for ph in data["phases"]
-        ]
-        return PhaseJob(
-            phases,
-            job_id=int(data["job_id"]),
-            release_time=int(data["release_time"]),
+    phases = [
+        _phase_from_dict(ph, i)
+        for i, ph in enumerate(_list_field(data, "phases", "job"))
+    ]
+    return PhaseJob(phases, job_id=job_id, release_time=release_time)
+
+
+def _phase_from_dict(ph: Any, i: int) -> Phase:
+    """Entry ``i`` of a phase-job document's ``phases`` list."""
+    if not isinstance(ph, dict):
+        raise SerializationError(
+            f"job field 'phases[{i}]' must be an object, got "
+            f"{type(ph).__name__}"
         )
-    raise SerializationError(f"unknown job backend {backend!r}")
+    try:
+        return Phase(ph["work"], ph["parallelism"])
+    except KeyError as exc:
+        raise SerializationError(
+            f"job field 'phases[{i}]' has no {exc.args[0]!r} field"
+        ) from None
+    except (TypeError, ValueError, OverflowError):
+        # Phase could not read one of its lists as integers: name it.
+        key = "parallelism"
+        try:
+            np.asarray(ph["work"], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            key = "work"
+        raise SerializationError(
+            f"job field 'phases[{i}].{key}' must be a list of integers, "
+            f"got {ph[key]!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +283,19 @@ def job_snapshot_to_dict(job: Job) -> dict[str, Any]:
 def job_snapshot_from_dict(data: dict[str, Any]) -> Job:
     """Rebuild a mid-run job from :func:`job_snapshot_to_dict` output."""
     _check_header(data, "job-snapshot")
-    job = job_from_dict(data["static"])
-    job.release_time = int(data["release_time"])
-    job.restore_runtime_state(data["runtime"])
+    job = job_from_dict(_field(data, "static", "job-snapshot"))
+    job.release_time = _int_field(data, "release_time", "job-snapshot")
+    runtime = _field(data, "runtime", "job-snapshot")
+    try:
+        job.restore_runtime_state(runtime)
+    except KeyError as exc:
+        raise SerializationError(
+            f"job-snapshot field 'runtime' has no {exc.args[0]!r} field"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"job-snapshot field 'runtime' is malformed: {exc}"
+        ) from None
     return job
 
 

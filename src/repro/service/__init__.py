@@ -19,13 +19,12 @@ small daemon with:
   uses;
 * **resilience** (:mod:`repro.service.resilience` +
   :mod:`repro.service.chaos`): client retry budgets with typed
-  deadlines, per-endpoint circuit breakers, idempotency-token submit
-  dedupe (exactly-once admission over a lossy wire), a graceful
-  degradation ladder surfaced through admission, ``/healthz`` and
-  metrics,
-  a watchdog supervisor that restarts a crashed or hung server through
-  digest-verified journal recovery, and a deterministic chaos transport
-  to prove all of it under seeded network faults;
+  deadlines, idempotency-token submit dedupe (exactly-once admission
+  over a lossy wire), a service state (healthy, degraded, draining)
+  surfaced through ``/healthz`` and metrics, a watchdog supervisor
+  that restarts a crashed or hung server through digest-verified
+  journal recovery, and a deterministic chaos transport to prove all
+  of it under seeded network faults;
 * **sharding** (:mod:`repro.service.shard` +
   :mod:`repro.service.router`): N per-shard services behind
   consistent-hash tenant routing with a journaled routing table and a
@@ -61,8 +60,6 @@ from repro.service.queue import FairSubmissionQueue
 from repro.service.resilience import (
     SERVICE_STATES,
     SHARD_STATES,
-    CircuitBreaker,
-    ResilienceConfig,
     RetryBudget,
     RetrySession,
     Watchdog,
@@ -88,13 +85,11 @@ __all__ = [
     "ChaosConfig",
     "ChaosFault",
     "ChaosSchedule",
-    "CircuitBreaker",
     "ConsistentHashRing",
     "FairSubmissionQueue",
     "GlobalAllotter",
     "REASON_CODES",
     "RejectionReason",
-    "ResilienceConfig",
     "RetryBudget",
     "RetrySession",
     "RoutingTable",

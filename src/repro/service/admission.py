@@ -61,8 +61,6 @@ class RejectionReason(str, enum.Enum):
     """
 
     DRAINING = "draining"
-    READ_ONLY = "read-only"
-    SHEDDING = "shedding"
     BACKPRESSURE = "backpressure"
     TENANT_QUOTA = "tenant-quota"
     LOAD_SHED = "load-shed"
@@ -199,19 +197,15 @@ class AdmissionController:
         total_in_flight: int,
         draining: bool = False,
         certificate: float | None = None,
-        state: str = "healthy",
     ) -> AdmissionDecision:
         """Judge one submission against the gates, in order.
 
         ``certificate`` is the Theorem-3 horizon *with the candidate
         job included* (see :func:`theorem3_certificate`); it is only
-        consulted when the shedding gate is armed.  ``state`` is the
-        service's graceful-degradation state (see
-        :data:`repro.service.resilience.SERVICE_STATES`): ``read-only``
-        and ``shedding`` refuse admission *before* the counting gates,
-        with proportionally larger backoff hints.
+        consulted when the shedding gate is armed, and for the hint of a
+        ``draining`` rejection.
         """
-        if draining or state == "draining":
+        if draining:
             # Nothing will be admitted again; hint the time the backlog
             # is certified to clear, when known — a client talking to a
             # fleet can retry against a replacement after that long.
@@ -225,29 +219,6 @@ class AdmissionController:
                 reason="draining",
                 retry_after=hint,
                 detail="service is draining; no further admissions",
-            )
-        if state == "read-only":
-            # Journal distress or operator override: writes are parked
-            # until the disk (or the operator) comes back — hint a long
-            # backoff so clients do not hammer a struggling service.
-            return AdmissionDecision(
-                accepted=False,
-                reason="read-only",
-                retry_after=4 * self.retry_after,
-                detail=(
-                    "service is read-only (journal distress or operator "
-                    "override); submissions are refused until it recovers"
-                ),
-            )
-        if state == "shedding":
-            return AdmissionDecision(
-                accepted=False,
-                reason="shedding",
-                retry_after=2 * self.retry_after,
-                detail=(
-                    "service is shedding load (queue depth critical); "
-                    "retry after the backlog drains"
-                ),
             )
         if total_in_flight >= self.max_in_flight:
             return AdmissionDecision(

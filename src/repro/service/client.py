@@ -18,16 +18,12 @@ Resilience (all opt-in, wire format unchanged):
 * ``retry=RetryBudget(...)`` arms :meth:`request_resilient`: transport
   failures reconnect and retry with jittered exponential backoff until
   the budget (attempts *and* wall-clock) runs dry, then raise a typed
-  :class:`~repro.errors.DeadlineExceeded`.
+  :class:`~repro.errors.DeadlineExceeded`.  The budget alone paces the
+  retries: every attempt it charges is one request on the wire.
 * Retried **submits carry an idempotency token** (a generated UUID
   unless the caller supplies one), so a retry after a lost ack is
   deduplicated server-side — at-least-once delivery on the wire,
   exactly-once admission in the engine.
-* A per-endpoint :class:`~repro.service.resilience.CircuitBreaker`
-  fails fast while the service is down
-  (:class:`~repro.errors.CircuitOpenError` without touching the wire)
-  and probes it back to health; breaker state and transitions export as
-  Prometheus text via :meth:`local_metrics_text`.
 * ``chaos=ChaosConfig(...)`` makes the *client side* of the wire lossy
   too (drop/delay the request, corrupt the response bytes, cut the
   connection) — the deterministic fault plan of
@@ -43,23 +39,24 @@ import urllib.error
 import urllib.request
 import uuid
 
-from repro.errors import CircuitOpenError, DeadlineExceeded, ServiceError
+from repro.errors import DeadlineExceeded, ServiceError
 from repro.jobs.base import Job
-from repro.obs import MetricsRegistry
 from repro.service.chaos import ChaosConfig, ChaosSchedule
-from repro.service.resilience import CircuitBreaker, RetryBudget
+from repro.service.resilience import RetryBudget
 
 __all__ = ["ServiceClient", "fetch_healthz", "fetch_metrics_text"]
 
 #: job states that end a wait()
 _TERMINAL_STATES = ("completed", "failed", "quarantined", "cancelled")
 
-#: numeric codes for the circuit_state gauge
-_CIRCUIT_CODES = {
-    CircuitBreaker.CLOSED: 0,
-    CircuitBreaker.OPEN: 1,
-    CircuitBreaker.HALF_OPEN: 2,
-}
+#: the budget :meth:`ServiceClient.submit_blocking` waits under when the
+#: client has no ``retry`` budget of its own
+_SUBMIT_BLOCKING_BUDGET = RetryBudget(
+    max_attempts=64,
+    max_elapsed_s=64.0,
+    base_backoff_s=0.01,
+    max_backoff_s=1.0,
+)
 
 
 def _timed_out(url: str, op: str, timeout: float, exc: OSError) -> bool:
@@ -150,12 +147,6 @@ class ServiceClient:
         transparent reconnect-and-retry (plus idempotency tokens on
         submits) for every operation routed through
         :meth:`request_resilient`.
-    breaker:
-        Factory for per-endpoint circuit breakers (called once per op
-        name).  Defaults to ``CircuitBreaker()`` per op when ``retry``
-        is armed; pass ``None`` explicitly via a factory returning
-        ``None`` is not supported — breakers only exist when ``retry``
-        does.
     chaos:
         Optional client-side :class:`~repro.service.chaos.ChaosConfig`
         (or a shared :class:`~repro.service.chaos.ChaosSchedule`):
@@ -169,17 +160,11 @@ class ServiceClient:
         *,
         timeout: float = 30.0,
         retry: RetryBudget | None = None,
-        breaker=None,
         chaos: ChaosConfig | ChaosSchedule | None = None,
     ) -> None:
         self.address = address
         self.timeout = float(timeout)
         self.retry = retry
-        self._breaker_factory = (
-            breaker if breaker is not None else CircuitBreaker
-        )
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._circuit_transitions: dict[tuple[str, str], int] = {}
         if isinstance(chaos, ChaosConfig):
             chaos = ChaosSchedule(chaos) if chaos.active else None
         self.chaos: ChaosSchedule | None = chaos
@@ -211,24 +196,6 @@ class ServiceClient:
             ) from exc
         self._sock = sock
         self._file = sock.makefile("rwb")
-
-    def breaker(self, op: str) -> CircuitBreaker:
-        """The circuit breaker guarding one wire endpoint (lazily built)."""
-        br = self._breakers.get(op)
-        if br is None:
-            br = self._breaker_factory(
-                on_transition=lambda old, new, _op=op: (
-                    self._note_transition(_op, old, new)
-                )
-            )
-            self._breakers[op] = br
-        return br
-
-    def _note_transition(self, op: str, old: str, new: str) -> None:
-        key = (op, new)
-        self._circuit_transitions[key] = (
-            self._circuit_transitions.get(key, 0) + 1
-        )
 
     # ------------------------------------------------------------------
     # transport
@@ -284,50 +251,31 @@ class ServiceClient:
         return resp
 
     def request_resilient(self, op: str, payload: dict) -> dict:
-        """One request under the retry budget and the op's breaker.
+        """One request under the retry budget.
 
-        Transport failures (:class:`ServiceError` from the wire) are
-        retried after a reconnect and a jittered backoff, charging the
-        budget each attempt; the breaker records every outcome and fails
-        fast (:class:`~repro.errors.CircuitOpenError`) while open.
-        Admission rejections come back verbatim — they are answers, not
-        failures.  Without a ``retry`` budget this is plain
-        :meth:`request`.
+        Each attempt charges the budget, dials again when the socket is
+        closed, and sends; a transport failure (:class:`ServiceError`
+        from the wire) closes the socket and backs off.  When the budget
+        runs dry the next charge raises a typed
+        :class:`~repro.errors.DeadlineExceeded`.  Admission rejections
+        come back verbatim — they are answers, not failures.  Without a
+        ``retry`` budget this is plain :meth:`request`.
         """
         if self.retry is None:
             return self.request(payload)
-        breaker = self.breaker(op)
         session = self.retry.session(op)
         while True:
             session.charge()
             try:
-                breaker.check(op)
-            except CircuitOpenError as exc:
-                # Fail fast off the wire, but keep trying within the
-                # budget: sleep until the breaker will admit a half-open
-                # probe (never past the session deadline), then loop —
-                # charge() converts an exhausted budget into a typed
-                # DeadlineExceeded instead of raising the breaker error.
-                remaining = self.retry.max_elapsed_s - session.elapsed
-                wait = min(max(0.0, exc.retry_after), max(0.0, remaining))
-                if wait > 0:
-                    time.sleep(wait)
-                session.last_error = str(exc)
-                continue
-            try:
                 if self._file is None:
                     self._connect()
-                resp = self.request(payload)
+                return self.request(payload)
             except ServiceError as exc:
-                breaker.record_failure()
                 # Always tear the socket down: after a timeout or a lost
                 # response the stream may hold a stale reply, and reusing
                 # it would desynchronise every later request/response pair.
                 self.close()
                 session.backoff(last_error=str(exc))
-                continue
-            breaker.record_success()
-            return resp
 
     def close(self) -> None:
         if self._file is None:
@@ -349,30 +297,6 @@ class ServiceClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # local resilience telemetry
-    # ------------------------------------------------------------------
-    def local_metrics_registry(self) -> MetricsRegistry:
-        """Client-side breaker state as a scrapeable registry."""
-        reg = MetricsRegistry()
-        for op in sorted(self._breakers):
-            reg.gauge(
-                "circuit_state",
-                "breaker state per endpoint (0=closed 1=open 2=half-open)",
-                op=op,
-            ).set(_CIRCUIT_CODES[self._breakers[op].state])
-        for (op, to), count in sorted(self._circuit_transitions.items()):
-            reg.counter(
-                "circuit_transitions_total",
-                "breaker transitions by endpoint and destination state",
-                op=op,
-                to=to,
-            ).inc(count)
-        return reg
-
-    def local_metrics_text(self) -> str:
-        return self.local_metrics_registry().to_prometheus_text()
 
     # ------------------------------------------------------------------
     # operations
@@ -411,26 +335,19 @@ class ServiceClient:
         job: Job | dict,
         *,
         release_time: int | None = None,
-        max_tries: int = 64,
-        backoff: float = 0.01,
         token: str | None = None,
     ) -> dict:
         """Submit and honour ``retry_after`` until admitted — bounded.
 
-        Retries rejections under a :class:`RetryBudget` (the client's
-        own if armed, else one derived from ``max_tries``/``backoff``
-        for back-compat), so the wait is always bounded: when the budget
-        runs dry a typed :class:`~repro.errors.DeadlineExceeded`
-        carrying attempts and elapsed time is raised instead of spinning
-        forever.  A ``draining`` or ``shard-failed`` rejection is
-        terminal and raises :class:`ServiceError` immediately.
+        Retries rejections under the client's ``retry`` budget, or
+        without one under a module default (64 attempts, 0.01 s base
+        backoff), so the wait is always bounded: when the budget runs
+        dry a typed :class:`~repro.errors.DeadlineExceeded` carrying
+        attempts and elapsed time is raised instead of spinning forever.
+        A ``draining`` or ``shard-failed`` rejection is terminal and
+        raises :class:`ServiceError` immediately.
         """
-        budget = self.retry or RetryBudget(
-            max_attempts=int(max_tries),
-            max_elapsed_s=max(1.0, float(max_tries) * 1.0),
-            base_backoff_s=float(backoff),
-            max_backoff_s=max(float(backoff) * 64, 1.0),
-        )
+        budget = self.retry or _SUBMIT_BLOCKING_BUDGET
         if token is None:
             token = uuid.uuid4().hex
         session = budget.session("submit_blocking")

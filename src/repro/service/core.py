@@ -47,11 +47,7 @@ from repro.service.admission import (
     AdmissionController,
     theorem3_certificate,
 )
-from repro.service.resilience import (
-    SERVICE_STATES,
-    ResilienceConfig,
-    service_state_code,
-)
+from repro.service.resilience import SERVICE_STATES, service_state_code
 from repro.sim.engine import engine_class
 from repro.sim.journal import Journal
 
@@ -59,6 +55,10 @@ __all__ = ["SchedulingService", "ServiceConfig"]
 
 #: engine job states that count against quotas ("in flight")
 _IN_FLIGHT_STATES = ("pending", "running", "retrying")
+
+#: in-flight jobs, as a fraction of ``max_in_flight``, at or above which
+#: a service reports ``degraded``
+DEGRADED_DEPTH_FRAC = 0.8
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ class ServiceConfig:
     #: :func:`repro.sim.faults.fault_spec` dict) is embedded in the
     #: trace header so replays rebuild identical fault hooks
     trace_path: str | None = None
-    resilience: ResilienceConfig | None = None
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -174,11 +173,6 @@ class SchedulingService:
                 max_stall_steps=max_stall_steps,
                 obs=obs,
             )
-        self.resilience = (
-            config.resilience
-            if config.resilience is not None
-            else ResilienceConfig()
-        )
         self._trace_writer = None
         if config.trace_path is not None:
             from repro.workloads.trace import WorkloadTraceWriter
@@ -213,8 +207,6 @@ class SchedulingService:
         self._result = None
         #: True between recover() and the first completed tick
         self._recovering = False
-        #: operator/failure override: refuse all state mutation
-        self._read_only = False
         self._last_state = "healthy"
         self._state_changes = 0
 
@@ -273,7 +265,7 @@ class SchedulingService:
         )
 
     # ------------------------------------------------------------------
-    # graceful degradation
+    # service state
     # ------------------------------------------------------------------
     def journal_latency_s(self) -> float:
         """EWMA append latency of the engine's journal (0 without one)."""
@@ -283,31 +275,30 @@ class SchedulingService:
         return float(getattr(journal, "append_latency_s", 0.0))
 
     def service_state(self) -> str:
-        """Current rung on the degradation ladder (SERVICE_STATES).
+        """Current service state, one of :data:`SERVICE_STATES`.
 
-        Recomputed from live signals on every call and compared against
-        the previous answer, so any path that consults the state
-        (admission, ``/healthz``, metrics) also publishes transitions.
+        ``draining`` once a drain was asked; ``degraded`` while a
+        recovery is not yet confirmed by a completed tick, or while the
+        jobs in flight reach ``DEGRADED_DEPTH_FRAC`` of
+        ``max_in_flight``; ``healthy`` otherwise.  Recomputed on every
+        call and compared against the previous answer, so any path that
+        consults the state (submit, ``/healthz``, metrics) also
+        publishes transitions.
         """
-        state = self.resilience.classify(
-            depth_frac=(
-                self.total_in_flight() / self.config.max_in_flight
-            ),
-            journal_latency_s=self.journal_latency_s(),
-            recovering=self._recovering,
-            read_only=self._read_only,
-            draining=self._draining or self._result is not None,
-        )
+        if self._draining or self._result is not None:
+            state = "draining"
+        elif self._recovering or (
+            self.total_in_flight() / self.config.max_in_flight
+            >= DEGRADED_DEPTH_FRAC
+        ):
+            state = "degraded"
+        else:
+            state = "healthy"
         if state != self._last_state:
             prev, self._last_state = self._last_state, state
             self._state_changes += 1
             self.obs.on_state_change(self.clock, state=state, prev=prev)
         return state
-
-    def set_read_only(self, read_only: bool = True) -> None:
-        """Operator override: park (or resume) all state mutation."""
-        self._read_only = bool(read_only)
-        self.service_state()  # publish the transition immediately
 
     def health(self) -> dict:
         """The ``/healthz`` document: state, code, and live vitals."""
@@ -377,13 +368,13 @@ class SchedulingService:
             self.admission.shed_horizon is not None or self._draining
         ) and self._result is None:
             certificate = self.certificate_horizon(extra_job=job)
+        self.service_state()  # publish a state change before deciding
         decision = self.admission.decide(
             tenant,
             tenant_in_flight=self.tenant_in_flight(tenant),
             total_in_flight=self.total_in_flight(),
             draining=self._draining,
             certificate=certificate,
-            state=self.service_state(),
         )
         if not decision.accepted:
             self._rejected += 1
@@ -460,17 +451,6 @@ class SchedulingService:
 
     def cancel(self, job_id: int) -> dict:
         """Withdraw a not-yet-released job its submitter thought better of."""
-        state = self.service_state()
-        if state == "read-only":
-            return {
-                "ok": False,
-                "error": (
-                    "service is read-only; cancellations are state "
-                    "mutations and are refused until it recovers"
-                ),
-                "reason": "read-only",
-                "retry_after": 4 * self.admission.retry_after,
-            }
         tenant = self._tenant_of.get(job_id)
         if tenant is None:
             return {"ok": False, "error": f"unknown job id {job_id}"}
@@ -614,18 +594,18 @@ class SchedulingService:
         state = self.service_state()
         reg.gauge(
             "service_state",
-            "degradation ladder rung as a numeric code "
-            "(0=healthy 1=degraded 2=shedding 3=read-only 4=draining)",
+            "service state as a numeric code "
+            "(0=healthy 1=degraded 2=draining)",
         ).set(service_state_code(state))
         for name in SERVICE_STATES:
             reg.gauge(
                 "service_state_info",
-                "one-hot degradation state",
+                "one-hot service state",
                 state=name,
             ).set(1.0 if name == state else 0.0)
         reg.counter(
             "service_state_changes_total",
-            "degradation-state transitions since start",
+            "service-state transitions since start",
         ).inc(self._state_changes)
         reg.counter(
             "service_duplicate_submissions_total",

@@ -1,27 +1,23 @@
-"""Client and operator resilience: retry budgets, circuit breaking,
-graceful degradation, and watchdog self-healing.
+"""Client and operator resilience: retry budgets, service states, and
+watchdog self-healing.
 
-Four small machines, each independently testable, together make the
-service survive infrastructure failure without losing an acknowledged
-job:
+Three pieces, each independently testable, together make the service
+survive infrastructure failure without losing an acknowledged job:
 
 * :class:`RetryBudget` / :class:`RetrySession` — a *total* budget
   (attempts **and** wall-clock) for one logical operation, with
   deterministic jittered exponential backoff that honours the server's
   ``retry_after`` hints.  When the budget runs dry the session raises a
   typed :class:`~repro.errors.DeadlineExceeded` carrying attempts and
-  elapsed time, so callers never spin forever.
-* :class:`CircuitBreaker` — the classic closed → open → half-open state
-  machine, one per wire endpoint.  Consecutive transport failures trip
-  it open; after ``reset_timeout_s`` one half-open probe is allowed; a
-  probe success closes it, a probe failure re-opens it.  Transitions are
-  reported through a callback so the client can export ``circuit_state``
-  gauges and transition counters.
-* :class:`ResilienceConfig` + :data:`SERVICE_STATES` — the graceful
-  degradation ladder (healthy → degraded → shedding → read-only →
-  draining) the service core walks based on queue depth, journal append
-  latency and recovery status.  The state drives admission decisions,
-  ``/healthz`` status codes and the ``service_state`` gauge.
+  elapsed time, so callers never spin forever.  It is the only thing
+  that paces a client's retries: every attempt it charges is one
+  request.
+* :data:`SERVICE_STATES` — the states a service reports (healthy →
+  degraded → draining), worked out by
+  :meth:`~repro.service.core.SchedulingService.service_state` from
+  facts the service already observes.  The state drives ``/healthz``
+  status codes and the ``service_state`` gauge; admission acts only on
+  ``draining``.
 * :class:`Watchdog` — a process supervisor: it spawns the serving
   process (one service, or a fleet of N shards), probes it for
   liveness, detects crash (process exit by signal) and hang (probe
@@ -41,13 +37,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import CircuitOpenError, DeadlineExceeded, ServiceError
+from repro.errors import DeadlineExceeded, ServiceError
 
 __all__ = [
     "SERVICE_STATES",
     "SHARD_STATES",
-    "CircuitBreaker",
-    "ResilienceConfig",
     "RetryBudget",
     "RetrySession",
     "Watchdog",
@@ -55,19 +49,18 @@ __all__ = [
     "shard_state_code",
 ]
 
-#: the graceful-degradation ladder, least to most degraded.  The index
-#: of a state is its numeric code in the ``service_state`` gauge.
+#: the service states, least to most degraded.  The index of a state is
+#: its numeric code in the ``service_state`` gauge.
 SERVICE_STATES = (
-    "healthy",    # all gates nominal
-    "degraded",   # elevated load / slow journal / fresh recovery; admitting
-    "shedding",   # queue depth critical: new submissions refused
-    "read-only",  # journal distress or operator override: no state mutation
-    "draining",   # terminal: running the backlog dry, then stopping
+    "healthy",   # nothing to report
+    "degraded",  # recovery not yet confirmed, or in-flight jobs near the
+                 # max_in_flight wall; still admitting
+    "draining",  # terminal: running the backlog dry, then stopping
 )
 
 
 def service_state_code(state: str) -> int:
-    """Numeric code of a degradation state (index in SERVICE_STATES)."""
+    """Numeric code of a service state (index in SERVICE_STATES)."""
     try:
         return SERVICE_STATES.index(state)
     except ValueError:
@@ -80,8 +73,8 @@ def service_state_code(state: str) -> int:
 #: the per-shard supervision states.  The index of a state is its
 #: numeric code in the ``service_shard_state`` gauge.  Distinct from
 #: :data:`SERVICE_STATES`: a shard's *supervision* state says whether
-#: its engine is being driven at all, while the service degradation
-#: ladder describes how a live engine is admitting.
+#: its engine is being driven at all, while the service state describes
+#: how a live engine is doing.
 SHARD_STATES = (
     "serving",  # ticking, routing accepts its tenants
     "failed",   # its tick raised and no rebuild held; tenants failed over
@@ -251,219 +244,6 @@ class RetrySession:
         if delay > 0:
             self._sleep(delay)
         return delay
-
-
-# ----------------------------------------------------------------------
-# circuit breaker
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """Closed → open → half-open breaker for one wire endpoint.
-
-    * **closed** — requests flow; ``failure_threshold`` *consecutive*
-      failures trip the breaker open (a success resets the streak).
-    * **open** — :meth:`allow` refuses instantly (the caller raises
-      :class:`~repro.errors.CircuitOpenError` without touching the
-      wire) until ``reset_timeout_s`` has elapsed, then the breaker
-      moves to half-open.
-    * **half-open** — at most ``half_open_max`` concurrent probes are
-      let through; a probe success closes the breaker, a probe failure
-      re-opens it (restarting the timeout).
-
-    ``clock`` is injectable so the state machine is testable without
-    real waiting; ``on_transition(old, new)`` fires on every state
-    change (metrics export).
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        reset_timeout_s: float = 1.0,
-        half_open_max: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ServiceError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout_s <= 0:
-            raise ServiceError(
-                f"reset_timeout_s must be > 0, got {reset_timeout_s}"
-            )
-        if half_open_max < 1:
-            raise ServiceError(
-                f"half_open_max must be >= 1, got {half_open_max}"
-            )
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout_s = float(reset_timeout_s)
-        self.half_open_max = int(half_open_max)
-        self._clock = clock
-        self._on_transition = on_transition
-        self._state = self.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._half_open_inflight = 0
-
-    # -- introspection --------------------------------------------------
-    @property
-    def state(self) -> str:
-        """Current state, applying the open → half-open timeout."""
-        self._maybe_half_open()
-        return self._state
-
-    def retry_after(self) -> float:
-        """Seconds until an open breaker will allow a probe (0 if it
-        already would)."""
-        if self._state != self.OPEN:
-            return 0.0
-        return max(
-            0.0,
-            self._opened_at + self.reset_timeout_s - self._clock(),
-        )
-
-    # -- the machine ----------------------------------------------------
-    def _set_state(self, new: str) -> None:
-        old = self._state
-        if old == new:
-            return
-        self._state = new
-        if self._on_transition is not None:
-            self._on_transition(old, new)
-
-    def _maybe_half_open(self) -> None:
-        if (
-            self._state == self.OPEN
-            and self._clock() - self._opened_at >= self.reset_timeout_s
-        ):
-            self._half_open_inflight = 0
-            self._set_state(self.HALF_OPEN)
-
-    def allow(self) -> bool:
-        """May a request go out right now?  Counts half-open probes."""
-        self._maybe_half_open()
-        if self._state == self.CLOSED:
-            return True
-        if self._state == self.OPEN:
-            return False
-        if self._half_open_inflight >= self.half_open_max:
-            return False
-        self._half_open_inflight += 1
-        return True
-
-    def check(self, op: str) -> None:
-        """Raise :class:`CircuitOpenError` unless :meth:`allow` passes."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit for {op!r} is {self._state}; retry in "
-                f"{self.retry_after():.2f}s",
-                op=op,
-                retry_after=self.retry_after() or self.reset_timeout_s,
-            )
-
-    def record_success(self) -> None:
-        self._maybe_half_open()
-        self._consecutive_failures = 0
-        if self._state == self.HALF_OPEN:
-            self._half_open_inflight = 0
-            self._set_state(self.CLOSED)
-
-    def record_failure(self) -> None:
-        self._maybe_half_open()
-        if self._state == self.HALF_OPEN:
-            self._opened_at = self._clock()
-            self._half_open_inflight = 0
-            self._set_state(self.OPEN)
-            return
-        self._consecutive_failures += 1
-        if (
-            self._state == self.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
-        ):
-            self._opened_at = self._clock()
-            self._set_state(self.OPEN)
-
-
-# ----------------------------------------------------------------------
-# graceful degradation policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Thresholds that drive the service's degradation ladder.
-
-    All gates are optional; a ``None`` threshold disarms that rung.  The
-    defaults arm only the advisory ``degraded`` rung (reported in
-    ``/healthz`` and metrics, admission unchanged), so arming
-    ``ServiceConfig.resilience`` never silently changes admission
-    behaviour unless shedding/read-only thresholds are set explicitly.
-
-    * ``degraded_depth_frac`` — in-flight jobs / ``max_in_flight`` at or
-      above this reports ``degraded``.
-    * ``shed_depth_frac`` — at or above this the service *sheds*: new
-      submissions are refused with reason ``shedding`` before the hard
-      ``backpressure`` wall is hit.
-    * ``journal_degraded_s`` / ``journal_read_only_s`` — EWMA journal
-      append latency (seconds) above which the service reports
-      ``degraded`` / stops accepting state mutations (``read-only``);
-      a dying disk degrades the service instead of stalling acks.
-    """
-
-    degraded_depth_frac: float | None = 0.8
-    shed_depth_frac: float | None = None
-    journal_degraded_s: float | None = None
-    journal_read_only_s: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("degraded_depth_frac", "shed_depth_frac"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v <= 1.0:
-                raise ServiceError(
-                    f"{name} must be in (0, 1], got {v}"
-                )
-        for name in ("journal_degraded_s", "journal_read_only_s"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ServiceError(f"{name} must be > 0, got {v}")
-
-    def classify(
-        self,
-        *,
-        depth_frac: float,
-        journal_latency_s: float,
-        recovering: bool,
-        read_only: bool,
-        draining: bool,
-    ) -> str:
-        """Map live signals to a state on the ladder (worst rung wins)."""
-        if draining:
-            return "draining"
-        if read_only or (
-            self.journal_read_only_s is not None
-            and journal_latency_s > self.journal_read_only_s
-        ):
-            return "read-only"
-        if (
-            self.shed_depth_frac is not None
-            and depth_frac >= self.shed_depth_frac
-        ):
-            return "shedding"
-        if recovering:
-            return "degraded"
-        if (
-            self.degraded_depth_frac is not None
-            and depth_frac >= self.degraded_depth_frac
-        ):
-            return "degraded"
-        if (
-            self.journal_degraded_s is not None
-            and journal_latency_s > self.journal_degraded_s
-        ):
-            return "degraded"
-        return "healthy"
 
 
 # ----------------------------------------------------------------------

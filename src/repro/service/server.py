@@ -59,10 +59,6 @@ def control_endpoint(
     return unix_path if unix_path is not None else (host, port)
 
 
-#: ops handled inline (no admission queueing)
-_IMMEDIATE_OPS = ("status", "cancel", "stats", "ping", "metrics", "shards")
-
-
 class ServiceServer:
     """Serve one :class:`SchedulingService` over NDJSON + HTTP metrics.
 

@@ -605,9 +605,9 @@ class ShardedSchedulingService:
     # aggregated health and telemetry
     # ------------------------------------------------------------------
     def _aggregate_state(self) -> str:
-        """The fleet's rung on the service degradation ladder.
+        """The fleet's service state (one of SERVICE_STATES).
 
-        The worst rung any serving shard reports, floored at
+        The worst state any serving shard reports, floored at
         ``degraded`` while any shard has failed — a fleet that lost a
         member is not healthy, even though the survivors are.
         """

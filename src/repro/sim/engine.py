@@ -66,8 +66,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import islice
+from operator import attrgetter
 from numbers import Integral
 from time import perf_counter
 from zlib import crc32
@@ -103,6 +104,9 @@ __all__ = [
 ENGINE_NAMES = ("reference", "fast")
 
 _DEFAULT_ENGINE = "reference"
+
+#: the order of the pending list: unarrived jobs by (release, id)
+_release_order = attrgetter("release_time", "job_id")
 
 #: version 4 keeps only unarrived jobs in ``jobs`` (arrived ones live in
 #: ``alive`` or the history maps) and carries the ``history`` CRC; a
@@ -638,7 +642,7 @@ class Simulator:
         k = self._machine.num_categories
         st = _RunState()
         # Pending jobs sorted by (release, id); alive keeps arrival order.
-        st.pending = sorted(jobs, key=lambda j: (j.release_time, j.job_id))
+        st.pending = sorted(jobs, key=_release_order)
         st.release = {j.job_id: j.release_time for j in jobs}
         st.busy = np.zeros(k, dtype=np.int64)
         st.wasted = np.zeros(k, dtype=np.int64)
@@ -847,7 +851,7 @@ class Simulator:
             )
         # Keep the unarrived jobs in the (release, id) order the pending
         # list was built with, so the arrival scan stays exact.
-        insort(st.pending, job, key=lambda j: (j.release_time, j.job_id))
+        insort(st.pending, job, key=_release_order)
         st.release[jid] = job.release_time
         if self._since is not None:
             self._since.release_changed(jid)
@@ -891,32 +895,29 @@ class Simulator:
         """
         if self._result is not None:
             raise SimulationError("cannot cancel in a finished run")
-        self._ensure_started()
+        state = self.job_state(job_id)
+        if state != "pending":
+            raise SimulationError(
+                {
+                    "running": f"job {job_id} is already running; only "
+                    "not-yet-released jobs can be cancelled",
+                    "completed": f"job {job_id} already completed",
+                    "retrying": f"job {job_id} is retrying after a kill; "
+                    "retries cannot be cancelled",
+                }.get(state, f"job {job_id} is not pending in this run")
+            )
         st = self._state
-        for i, job in enumerate(st.pending):
-            if job.job_id == job_id:
-                del st.pending[i]
-                st.release.pop(job_id, None)
-                if self._since is not None:
-                    self._since.release_changed(job_id)
-                if self._journal is not None:
-                    self._journal_put(
-                        "cancel", {"t": st.t, "job_id": int(job_id)}
-                    )
-                return job
-        if job_id in st.alive:
-            raise SimulationError(
-                f"job {job_id} is already running; only not-yet-released "
-                "jobs can be cancelled"
-            )
-        if job_id in st.completion:
-            raise SimulationError(f"job {job_id} already completed")
-        if any(e[1] == job_id for e in st.resubmit):
-            raise SimulationError(
-                f"job {job_id} is retrying after a kill; retries cannot "
-                "be cancelled"
-            )
-        raise SimulationError(f"job {job_id} is not pending in this run")
+        # A pending job still releases at its st.release entry, and the
+        # pending list is sorted on (release, id).
+        i = bisect_left(
+            st.pending, (st.release.pop(job_id), job_id), key=_release_order
+        )
+        job = st.pending.pop(i)
+        if self._since is not None:
+            self._since.release_changed(job_id)
+        if self._journal is not None:
+            self._journal_put("cancel", {"t": st.t, "job_id": int(job_id)})
+        return job
 
     def job_state(self, job_id: int) -> str:
         """Lifecycle state of one job id, as seen by the live run.
@@ -925,6 +926,12 @@ class Simulator:
         (arrived, uncompleted), ``retrying`` (killed, awaiting
         resubmission), ``completed``, ``failed`` (retries exhausted or
         no retry policy), ``quarantined``, or ``unknown``.
+
+        Answered from the run's maps, never by scanning the pending list
+        or the retry heap: ``release`` holds every pending, live,
+        retrying and completed id, and ``attempts`` every id a kill
+        touched, so an id in ``release`` that is neither live nor
+        completed is retrying if a kill touched it, else pending.
         """
         self._ensure_started()
         st = self._state
@@ -932,15 +939,12 @@ class Simulator:
             return "running"
         if job_id in st.completion:
             return "completed"
+        if job_id in st.release:
+            return "retrying" if job_id in st.attempts else "pending"
         if job_id in st.quarantined:
             return "quarantined"
         if job_id in st.failed_jobs:
             return "failed"
-        if any(e[1] == job_id for e in st.resubmit):
-            return "retrying"
-        for j in st.pending:
-            if j.job_id == job_id:
-                return "pending"
         return "unknown"
 
     def completion_time(self, job_id: int) -> int | None:

@@ -46,7 +46,7 @@ import logging
 import os
 import time
 import zlib
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import JournalError
 
@@ -128,10 +128,6 @@ class Journal:
         self.append_latency_s = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
     def append(self, rtype: str, data: Any) -> int:
         """Write one framed record; returns its sequence number.
 
@@ -282,13 +278,6 @@ def read_journal(
         with open(path, "r+b") as fh:
             fh.truncate(valid_bytes)
     return records, valid_bytes, clean
-
-
-def iter_records(
-    records: list[JournalRecord], rtype: str
-) -> Iterator[JournalRecord]:
-    """The subset of ``records`` with the given type, in order."""
-    return (r for r in records if r.type == rtype)
 
 
 def state_digest(payload: Any) -> int:

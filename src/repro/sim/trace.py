@@ -90,10 +90,6 @@ class StepRecord:
             "killed": list(self.killed),
         }
 
-    def failed_count(self, category: int) -> int:
-        """Units of ``category``-work wasted to task failures this step."""
-        return sum(len(tasks[category]) for tasks in self.failed.values())
-
 
 @dataclass(frozen=True)
 class PlacedTask:

@@ -144,6 +144,30 @@ class TestRejectionReasonDocs:
         assert set(REASON_CODES) == {r.value for r in RejectionReason}
 
 
+class TestServiceStateDocs:
+    def test_health_table_lists_every_service_state(self):
+        """docs/RUNBOOK.md's health table lists exactly the service
+        states, each with its numeric code, in both directions."""
+        from repro.service import SERVICE_STATES, service_state_code
+
+        section = read("docs/RUNBOOK.md").split(
+            "\n## Health and degradation", 1
+        )[1]
+        section = section.split("\n## ", 1)[0]
+        documented = [
+            (name, int(code))
+            for name, code in re.findall(
+                r"^\| `([a-z-]+)` \| (\d+) \|", section, re.M
+            )
+        ]
+        assert documented == [
+            (name, service_state_code(name)) for name in SERVICE_STATES
+        ], (
+            f"docs/RUNBOOK.md documents service states {documented}, "
+            f"repro.service.SERVICE_STATES is {SERVICE_STATES}"
+        )
+
+
 class TestShardStateDocs:
     def test_every_shard_state_documented(self):
         """docs/SERVICE.md's sharding section lists exactly the shard

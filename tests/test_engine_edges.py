@@ -185,3 +185,21 @@ class TestInjectKnownIds:
         sim.inject_job(PhaseJob([Phase([3], [1])], 5), release_time=7)
         result = sim.run()
         assert 5 in result.completion_times
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_cancel_refusal_names_the_state(self, engine):
+        sim = self._sim(engine)
+        sim.advance_until(6)
+        for jid, why in (
+            (0, "already running"),
+            (1, "already completed"),
+            (2, "retrying after a kill"),
+            (3, "not pending"),  # quarantined
+            (4, "not pending"),  # failed
+            (99, "not pending"),  # never submitted
+        ):
+            with pytest.raises(SimulationError, match=why):
+                sim.cancel_pending(jid)
+        assert sim.cancel_pending(5).job_id == 5
+        with pytest.raises(SimulationError, match="not pending"):
+            sim.cancel_pending(5)

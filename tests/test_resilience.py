@@ -1,25 +1,24 @@
-"""Resilience primitives: retry budgets, circuit breaker, degradation
-ladder, watchdog supervision, and the deterministic chaos schedule."""
+"""Resilience primitives: retry budgets, service states, watchdog
+supervision, and the deterministic chaos schedule."""
 
+import socket
+import time
+
+import numpy as np
 import pytest
-from hypothesis import settings
-from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-    run_state_machine_as_test,
-)
 
-from repro.errors import CircuitOpenError, DeadlineExceeded, ServiceError
+from repro.errors import DeadlineExceeded, ServiceError
+from repro.io.serialize import job_to_dict
+from repro.jobs import workloads
+from repro.obs import Observability
 from repro.service import (
     SERVICE_STATES,
     ChaosConfig,
     ChaosSchedule,
-    CircuitBreaker,
-    ResilienceConfig,
     RetryBudget,
+    SchedulingService,
+    ServiceClient,
+    ServiceConfig,
     Watchdog,
     service_state_code,
 )
@@ -148,236 +147,112 @@ class TestRetryBudget:
         with pytest.raises(ServiceError):
             RetryBudget(jitter=1.0)
 
+    def test_every_charged_attempt_dials_once(self, monkeypatch):
+        # Against a closed port each attempt the budget charges is one
+        # dial: nothing else spends the budget or waits between dials.
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        dials = []
+        dial = socket.create_connection
 
-# ----------------------------------------------------------------------
-# circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def _breaker(self, clk, **kw):
-        transitions = []
-        br = CircuitBreaker(
-            clock=clk,
-            on_transition=lambda old, new: transitions.append((old, new)),
-            **kw,
+        def counting_dial(*args, **kwargs):
+            dials.append(time.monotonic())
+            return dial(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_dial)
+        cli = ServiceClient(
+            ("127.0.0.1", port),
+            timeout=1.0,
+            retry=RetryBudget(max_attempts=20, max_backoff_s=0.01),
         )
-        return br, transitions
-
-    def test_trips_open_after_consecutive_failures(self):
-        clk = FakeClock()
-        br, transitions = self._breaker(clk, failure_threshold=3)
-        for _ in range(2):
-            br.record_failure()
-        assert br.state == CircuitBreaker.CLOSED
-        br.record_success()  # success resets the streak
-        for _ in range(2):
-            br.record_failure()
-        assert br.state == CircuitBreaker.CLOSED
-        br.record_failure()
-        assert br.state == CircuitBreaker.OPEN
-        assert transitions == [("closed", "open")]
-
-    def test_open_fails_fast_then_half_opens(self):
-        clk = FakeClock()
-        br, _ = self._breaker(
-            clk, failure_threshold=1, reset_timeout_s=2.0
-        )
-        br.record_failure()
-        assert not br.allow()
-        with pytest.raises(CircuitOpenError) as exc:
-            br.check("submit")
-        assert exc.value.op == "submit"
-        assert 0 < exc.value.retry_after <= 2.0
-        clk.advance(2.0)
-        assert br.state == CircuitBreaker.HALF_OPEN
-        assert br.allow()  # the single probe
-        assert not br.allow()  # concurrent probes refused
-
-    def test_half_open_probe_success_closes(self):
-        clk = FakeClock()
-        br, transitions = self._breaker(
-            clk, failure_threshold=1, reset_timeout_s=1.0
-        )
-        br.record_failure()
-        clk.advance(1.0)
-        assert br.allow()
-        br.record_success()
-        assert br.state == CircuitBreaker.CLOSED
-        assert transitions == [
-            ("closed", "open"),
-            ("open", "half-open"),
-            ("half-open", "closed"),
-        ]
-
-    def test_half_open_probe_failure_reopens(self):
-        clk = FakeClock()
-        br, _ = self._breaker(
-            clk, failure_threshold=1, reset_timeout_s=1.0
-        )
-        br.record_failure()
-        clk.advance(1.0)
-        assert br.allow()
-        br.record_failure()
-        assert br.state == CircuitBreaker.OPEN
-        assert br.retry_after() == pytest.approx(1.0)  # timer restarted
-
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ServiceError):
-            CircuitBreaker(reset_timeout_s=0)
-
-
-class BreakerMachine(RuleBasedStateMachine):
-    """Property: the breaker only ever makes legal transitions, and its
-    behaviour (allow/refuse) always matches its advertised state."""
-
-    LEGAL = {
-        ("closed", "open"),
-        ("open", "half-open"),
-        ("half-open", "closed"),
-        ("half-open", "open"),
-    }
-
-    @initialize(
-        threshold=st.integers(min_value=1, max_value=4),
-        timeout=st.floats(min_value=0.5, max_value=4.0),
-    )
-    def setup(self, threshold, timeout):
-        self.clk = FakeClock()
-        self.transitions = []
-        self.br = CircuitBreaker(
-            failure_threshold=threshold,
-            reset_timeout_s=timeout,
-            clock=self.clk,
-            on_transition=lambda old, new: self.transitions.append(
-                (old, new)
-            ),
-        )
-
-    @rule()
-    def success(self):
-        self.br.record_success()
-
-    @rule()
-    def failure(self):
-        self.br.record_failure()
-
-    @rule(s=st.floats(min_value=0.0, max_value=5.0))
-    def tick(self, s):
-        self.clk.advance(s)
-
-    @rule()
-    def probe_gate(self):
-        state = self.br.state
-        allowed = self.br.allow()
-        if state == CircuitBreaker.OPEN:
-            assert not allowed
-        if state == CircuitBreaker.CLOSED:
-            assert allowed
-
-    @invariant()
-    def only_legal_transitions(self):
-        for old, new in self.transitions:
-            assert (old, new) in self.LEGAL, (old, new)
-
-    @invariant()
-    def open_implies_retry_hint(self):
-        if self.br._state == CircuitBreaker.OPEN:
-            assert self.br.retry_after() >= 0.0
-        else:
-            assert self.br.retry_after() == 0.0
-
-
-def test_breaker_state_machine():
-    run_state_machine_as_test(
-        BreakerMachine,
-        settings=settings(max_examples=40, deadline=None),
-    )
+        dials.clear()  # the constructor's own dial
+        with pytest.raises(DeadlineExceeded) as exc:
+            cli.ping()
+        assert len(dials) == 20
+        assert exc.value.attempts == 20
+        assert exc.value.op == "ping"
+        assert "cannot connect" in exc.value.last_error
 
 
 # ----------------------------------------------------------------------
-# degradation ladder
+# service states
 # ----------------------------------------------------------------------
+def _fill(svc, n, seed=0):
+    """Submit ``n`` jobs; with no tick they all stay in flight."""
+    jobs = workloads.random_phase_jobset(
+        np.random.default_rng(seed), 2, n, max_work=6
+    ).jobs
+    for job in jobs:
+        assert svc.submit("t", job_to_dict(job))["ok"]
+
+
 class TestResilienceConfig:
+    """The states a :class:`ServiceConfig` reaches: ``degraded`` while a
+    recovery is unconfirmed or in-flight jobs reach 0.8 of
+    ``max_in_flight``, ``draining`` once a drain was asked, else
+    ``healthy``."""
+
+    def _config(self, **kw):
+        return ServiceConfig(
+            capacities=(4, 2), max_in_flight=5, tenant_quota=5, **kw
+        )
+
     def test_state_codes_cover_ladder(self):
-        assert [service_state_code(s) for s in SERVICE_STATES] == [
-            0,
-            1,
-            2,
-            3,
-            4,
-        ]
+        assert [service_state_code(s) for s in SERVICE_STATES] == [0, 1, 2]
+        assert SERVICE_STATES == ("healthy", "degraded", "draining")
         with pytest.raises(ServiceError):
             service_state_code("on-fire")
 
     def test_default_config_is_advisory_only(self):
-        cfg = ResilienceConfig()
-        base = dict(
-            journal_latency_s=0.0,
-            recovering=False,
-            read_only=False,
-            draining=False,
-        )
-        assert cfg.classify(depth_frac=0.0, **base) == "healthy"
-        assert cfg.classify(depth_frac=0.9, **base) == "degraded"
-        # never shedding/read-only without explicit thresholds
-        assert cfg.classify(depth_frac=1.0, **base) == "degraded"
+        svc = SchedulingService(self._config(), obs=Observability())
+        _fill(svc, 3)
+        assert svc.service_state() == "healthy"  # 3 of 5 in flight
+        _fill(svc, 1, seed=1)
+        assert svc.service_state() == "degraded"  # 4 of 5: the 0.8 line
+        # degraded never refuses: the fifth job is admitted, and only
+        # the max_in_flight wall turns the sixth away
+        _fill(svc, 1, seed=2)
+        assert svc.service_state() == "degraded"
+        job = workloads.random_phase_jobset(
+            np.random.default_rng(3), 2, 1
+        ).jobs[0]
+        rej = svc.submit("t", job_to_dict(job))
+        assert (rej["ok"], rej["reason"]) == (False, "backpressure")
+        assert svc.stats()["state"] == "degraded"
 
-    def test_worst_rung_wins(self):
-        cfg = ResilienceConfig(
-            degraded_depth_frac=0.5,
-            shed_depth_frac=0.9,
-            journal_degraded_s=0.1,
-            journal_read_only_s=1.0,
+    def test_worst_rung_wins(self, tmp_path):
+        config = self._config(
+            journal_path=str(tmp_path / "svc.journal"), fsync=False
         )
-        assert (
-            cfg.classify(
-                depth_frac=1.0,
-                journal_latency_s=2.0,
-                recovering=True,
-                read_only=False,
-                draining=True,
-            )
-            == "draining"
-        )
-        assert (
-            cfg.classify(
-                depth_frac=1.0,
-                journal_latency_s=2.0,
-                recovering=True,
-                read_only=False,
-                draining=False,
-            )
-            == "read-only"
-        )
-        assert (
-            cfg.classify(
-                depth_frac=0.95,
-                journal_latency_s=0.0,
-                recovering=True,
-                read_only=False,
-                draining=False,
-            )
-            == "shedding"
-        )
-        assert (
-            cfg.classify(
-                depth_frac=0.0,
-                journal_latency_s=0.0,
-                recovering=True,
-                read_only=False,
-                draining=False,
-            )
-            == "degraded"
-        )
+        svc = SchedulingService(config, obs=Observability())
+        _fill(svc, 1)
+        assert svc.service_state() == "healthy"
+        svc.close()  # a crash: the journal keeps the acked submission
+        svc = SchedulingService.recover(config, obs=Observability())
+        assert svc.total_in_flight() == 1
+        assert svc.service_state() == "degraded"  # recovery unconfirmed
+        _fill(svc, 3, seed=1)  # and 4 of 5 in flight as well
+        assert svc.service_state() == "degraded"
+        # a drain outranks both: the recovery is still unconfirmed
+        svc.drain()
+        assert svc._recovering
+        assert svc.service_state() == "draining"
+        assert svc.health()["state_code"] == 2
 
-    def test_validation(self):
-        with pytest.raises(ServiceError):
-            ResilienceConfig(degraded_depth_frac=0.0)
-        with pytest.raises(ServiceError):
-            ResilienceConfig(shed_depth_frac=1.5)
-        with pytest.raises(ServiceError):
-            ResilienceConfig(journal_read_only_s=-1)
+    def test_a_completed_tick_confirms_recovery(self, tmp_path):
+        config = self._config(
+            journal_path=str(tmp_path / "svc.journal"), fsync=False
+        )
+        svc = SchedulingService(config, obs=Observability())
+        _fill(svc, 1)
+        svc.close()
+        svc = SchedulingService.recover(config, obs=Observability())
+        assert svc.service_state() == "degraded"
+        svc.tick()
+        assert svc.service_state() == "healthy"
+        assert svc._state_changes == 2  # degraded, then healthy
+        svc.close()
 
 
 # ----------------------------------------------------------------------

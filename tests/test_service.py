@@ -25,7 +25,7 @@ import pytest
 
 from repro import JobSet, KResourceMachine, scheduler_by_name, simulate
 from repro.cli import main
-from repro.errors import ServiceError
+from repro.errors import SerializationError, ServiceError
 from repro.io.serialize import job_snapshot_from_dict, job_to_dict
 from repro.jobs import workloads
 from repro.obs import Observability, parse_prometheus_text
@@ -242,6 +242,57 @@ class TestServiceCore:
         assert metrics["krad_service_clock"] == svc.clock
         assert metrics['krad_submissions_total{tenant="alice"}'] == 1
         assert 'krad_service_jobs{state="running"}' in metrics
+
+
+def _malformed(field):
+    """A valid phase-job document with one field broken, and the name a
+    typed error must carry."""
+    doc = job_to_dict(_jobs(8, 1)[0])
+    if field == "phases":
+        del doc["phases"]
+    elif field == "phases[0]":
+        del doc["phases"][0]["parallelism"]
+        return doc, "'parallelism'"
+    elif field == "phases-as-string":
+        doc["phases"] = "work=3"
+        return doc, "'phases'"
+    elif field == "phases[0].work":
+        doc["phases"][0]["work"][0] = "three"
+    elif field == "dag":
+        doc["backend"] = "dag"
+    return doc, f"'{field}'"
+
+
+MALFORMED = ("phases", "phases[0]", "phases-as-string", "phases[0].work", "dag")
+
+
+class TestMalformedJobDocuments:
+    """A malformed job document is refused with a typed error naming
+    the field, in process and over the wire, and admits nothing."""
+
+    @pytest.mark.parametrize("field", MALFORMED)
+    def test_submit_raises_serialization_error(self, field):
+        svc = SchedulingService(
+            ServiceConfig(capacities=CAPS), obs=Observability()
+        )
+        doc, name = _malformed(field)
+        with pytest.raises(SerializationError) as exc:
+            svc.submit("t", doc)
+        assert name in str(exc.value)
+        assert svc.stats()["accepted"] == 0
+
+    def test_wire_reply_names_the_field(self):
+        svc = SchedulingService(
+            ServiceConfig(capacities=CAPS), obs=Observability()
+        )
+        doc, name = _malformed("phases[0].work")
+        with ThreadedServer(svc) as ts:
+            with ServiceClient(ts.address) as cli:
+                resp = cli.submit("t", doc)
+                assert resp["ok"] is False
+                assert name in resp["error"]
+                assert cli.ping()["ok"]  # the dispatcher lives on
+        assert svc.stats()["accepted"] == 0
 
 
 # ----------------------------------------------------------------------

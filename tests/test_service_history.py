@@ -1,10 +1,10 @@
 """A long-running journaled service must not slow down with its history.
 
-Two guards: the admission gate's per-tenant in-flight count (checked
-against a brute-force count over every id the tenant ever submitted,
-across submits, ticks, cancels, kill/retry faults and crash recovery),
-and the journal's bytes per step, which must stay flat as completed jobs
-pile up.
+Two guards: the admission gate's per-tenant in-flight count and the
+engine's ``job_state`` (checked against a brute-force scan of the run's
+collections for every id, across submits, ticks, cancels, kill/retry
+faults and crash recovery), and the journal's bytes per step, which must
+stay flat as completed jobs pile up.
 """
 
 from __future__ import annotations
@@ -25,13 +25,31 @@ from repro.sim.faults import JobKiller
 TENANTS = ("a", "b", "c")
 
 
+def _job_state_oracle(sim, jid: int) -> str:
+    """A job's lifecycle state by scanning every collection of the run."""
+    st = sim._state
+    if jid in st.alive:
+        return "running"
+    if jid in st.completion:
+        return "completed"
+    if jid in st.quarantined:
+        return "quarantined"
+    if jid in st.failed_jobs:
+        return "failed"
+    if any(e[1] == jid for e in st.resubmit):
+        return "retrying"
+    if any(j.job_id == jid for j in st.pending):
+        return "pending"
+    return "unknown"
+
+
 def _brute_in_flight(svc: SchedulingService, tenant: str) -> int:
     sim = svc.simulator
     return sum(
         1
         for jid, owner in svc._tenant_of.items()
         if owner == tenant
-        and sim.job_state(jid) in ("pending", "running", "retrying")
+        and _job_state_oracle(sim, jid) in ("pending", "running", "retrying")
     )
 
 
@@ -62,6 +80,9 @@ _OPS = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(ops=_OPS, engine=st.sampled_from(["reference", "fast"]))
 def test_tenant_in_flight_matches_brute_force(ops, engine):
+    """After every action, ``tenant_in_flight`` and ``job_state`` agree
+    with the brute-force scan, and a cancel succeeds exactly when the
+    scan finds the job pending."""
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
             capacities=(3, 2),
@@ -91,11 +112,21 @@ def test_tenant_in_flight_matches_brute_force(ops, engine):
                 svc.tick()
             elif op[0] == "cancel" and svc._tenant_of:
                 ids = sorted(svc._tenant_of)
-                svc.cancel(ids[op[1] % len(ids)])
+                jid = ids[op[1] % len(ids)]
+                pending = (
+                    jid not in svc._cancelled
+                    and _job_state_oracle(svc.simulator, jid) == "pending"
+                )
+                assert svc.cancel(jid)["ok"] == pending
             elif op[0] == "recover":
                 svc.simulator._journal.close()  # crash
                 # open() recovers, or starts afresh if nothing was written
                 svc = SchedulingService.open(config, **_hooks())
+            sim = svc.simulator
+            if sim._state is not None:
+                # every id ever assigned, and one never assigned
+                for jid in range(svc._next_id + 1):
+                    assert sim.job_state(jid) == _job_state_oracle(sim, jid)
             for tenant in TENANTS:
                 assert svc.tenant_in_flight(tenant) == _brute_in_flight(
                     svc, tenant
