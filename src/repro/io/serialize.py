@@ -12,9 +12,8 @@ keys; loaders reject unknown versions rather than guessing.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any
-
-import numpy as np
 
 from repro.dag.kdag import KDag
 from repro.errors import SerializationError
@@ -68,14 +67,25 @@ def _field(data: dict, key: str, doc: str) -> Any:
         ) from None
 
 
+def _is_int(value: Any) -> bool:
+    """An integer field value: ``numbers.Integral`` but not ``bool``.
+
+    Floats, strings and booleans are refused rather than converted, so a
+    loaded document means exactly what was written.  The exact ``int``
+    test is only a shortcut past the ABC check for the common case.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def _int_field(data: dict, key: str, doc: str) -> int:
     value = _field(data, key, doc)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if not _is_int(value):
         raise SerializationError(
             f"{doc} field {key!r} must be an integer, got {value!r}"
-        ) from None
+        )
+    return int(value)
 
 
 def _list_field(data: dict, key: str, doc: str) -> list:
@@ -130,20 +140,21 @@ def dag_from_dict(data: dict[str, Any]) -> KDag:
     dag = KDag(_int_field(data, "num_categories", "kdag"))
     categories = _list_field(data, "categories", "kdag")
     edges = _list_field(data, "edges", "kdag")
-    try:
-        for c in categories:
-            dag.add_vertex(int(c))
-    except (TypeError, ValueError):
+    if not all(map(_is_int, categories)):
         raise SerializationError(
             f"kdag field 'categories' must be a list of integers, got "
             f"{categories!r}"
-        ) from None
-    try:
-        dag.add_edges((int(u), int(v)) for u, v in edges)
-    except (TypeError, ValueError):
+        )
+    if not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+        for e in edges
+    ):
         raise SerializationError(
             "kdag field 'edges' must be a list of [u, v] integer pairs"
-        ) from None
+        )
+    for c in categories:
+        dag.add_vertex(int(c))
+    dag.add_edges((int(u), int(v)) for u, v in edges)
     dag.validate()
     return dag
 
@@ -212,22 +223,22 @@ def _phase_from_dict(ph: Any, i: int) -> Phase:
             f"job field 'phases[{i}]' must be an object, got "
             f"{type(ph).__name__}"
         )
+    for key in ("work", "parallelism"):
+        if key not in ph:
+            raise SerializationError(
+                f"job field 'phases[{i}]' has no {key!r} field"
+            )
+        values = ph[key]
+        if not isinstance(values, list) or not all(map(_is_int, values)):
+            raise SerializationError(
+                f"job field 'phases[{i}].{key}' must be a list of "
+                f"integers, got {values!r}"
+            )
     try:
         return Phase(ph["work"], ph["parallelism"])
-    except KeyError as exc:
+    except OverflowError:
         raise SerializationError(
-            f"job field 'phases[{i}]' has no {exc.args[0]!r} field"
-        ) from None
-    except (TypeError, ValueError, OverflowError):
-        # Phase could not read one of its lists as integers: name it.
-        key = "parallelism"
-        try:
-            np.asarray(ph["work"], dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            key = "work"
-        raise SerializationError(
-            f"job field 'phases[{i}].{key}' must be a list of integers, "
-            f"got {ph[key]!r}"
+            f"job field 'phases[{i}]' holds an integer beyond int64"
         ) from None
 
 

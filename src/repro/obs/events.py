@@ -39,7 +39,6 @@ EVENT_KINDS = (
     "run_start",       # engine + scenario header, once per run
     "step",            # one executed step: totals, progress, stall flag
     "alloc",           # per-job allotment map of one step
-    "steady_span",     # fast engine compressed s quiescent steps in O(1)
     "transition",      # one category's DEQ<->RR state-machine move
     "task_failure",    # fault model failed executed tasks of one job
     "job_kill",        # fault model killed a whole job

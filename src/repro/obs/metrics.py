@@ -15,6 +15,9 @@ Three layers:
   before any export), and a registry is materialised on export only.
   Sparse occurrences (faults, retries, quarantines, journal writes)
   arrive through dedicated methods that cost nothing on healthy steps.
+  Both engines record one sample per unit step, so every family except
+  ``krad_step_wall_seconds`` is identical across engines, which
+  :mod:`repro.sim.conformance` checks.
 
 Metric families all carry the ``krad_`` prefix; docs/OBSERVABILITY.md
 is the reference list.  Counters accumulate across every run observed
@@ -106,12 +109,6 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    def observe_n(self, value: float, n: int) -> None:
-        """``n`` identical observations in O(1) (steady-span credit)."""
-        self.counts[bisect_left(self.buckets, value)] += n
-        self.sum += value * n
-        self.count += n
 
     def observe_many(self, values: np.ndarray) -> None:
         """Fold an array of observations in one vectorised pass.
@@ -339,8 +336,6 @@ class RunMetrics:
         self.completions = 0
         self.progress = 0
         self.realloc_units = 0.0
-        self.steady_spans = 0
-        self.steady_steps = 0
         self.task_failures = 0
         self.job_kills = 0
         self.retries = 0
@@ -427,8 +422,8 @@ class RunMetrics:
 
         Runs at run end and before any export — never per step.  All
         folds are order-independent sums and histogram counts, so
-        interleaving with :meth:`record_span` and the sparse-event
-        methods cannot change the result.
+        interleaving with the sparse-event methods cannot change the
+        result.
         """
         pending = self._pending
         if not pending:
@@ -472,34 +467,6 @@ class RunMetrics:
         rr = np.array([p[7] for p in pending])
         self.rr_depth.observe_many(rr[rr >= 0.0])
         self.wall.observe_many(np.array([p[8] for p in pending]))
-
-    def record_span(self, s: int, totals, caps_total: int) -> None:
-        """Credit ``s`` analytically skipped quiescent steps in O(1).
-
-        Within a steady span every desire is fully satisfied and the
-        allotment repeats verbatim, so satisfaction is exactly 1,
-        reallocation exactly 0, and no round-robin cycle is open.  The
-        wall histogram is *not* credited — it counts executed loop
-        iterations, which is the whole point of the skip.
-        """
-        self.steps += s
-        k = totals.shape[0]
-        if k > self.desired.shape[0]:
-            self._ensure_k(k)
-        span_units = s * totals
-        self.desired[:k] += span_units
-        self.allocated[:k] += span_units
-        tot = int(totals.sum())
-        self.progress += s * tot
-        self.steady_spans += 1
-        self.steady_steps += s
-        self.realloc.observe_n(0.0, s)
-        if tot:
-            self.satisfaction.observe_n(1.0, s)
-        if caps_total:
-            self.step_utilization.observe_n(tot / caps_total, s)
-        self.rr_depth.observe_n(0.0, s)
-        self.rr_depth_last = [0] * k
 
     # ------------------------------------------------------------------
     # sparse events
@@ -570,9 +537,7 @@ class RunMetrics:
         reg = MetricsRegistry()
         c = reg.counter
         c("runs_total", "simulation runs observed").inc(self.runs)
-        c("steps_total", "simulated steps (incl. steady spans)").inc(
-            self.steps
-        )
+        c("steps_total", "simulated steps").inc(self.steps)
         c("idle_steps_total", "fast-forwarded idle steps").inc(
             self.idle_steps
         )
@@ -585,12 +550,6 @@ class RunMetrics:
             "reallocation_units_total",
             "summed |allotment delta| between consecutive steps",
         ).inc(self.realloc_units)
-        c("steady_spans_total", "quiescent spans skipped analytically").inc(
-            self.steady_spans
-        )
-        c("steady_steps_total", "steps covered by skipped spans").inc(
-            self.steady_steps
-        )
         c("task_failures_total", "tasks failed by the fault model").inc(
             self.task_failures
         )

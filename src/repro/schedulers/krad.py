@@ -250,12 +250,6 @@ class KRadBatch:
     allocate = allocate_matrix
 
     # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
-        """True when no category has an open round-robin cycle — a fully
-        satisfied allocation then repeats verbatim (the fast engine's
-        steady-span precondition)."""
-        return all(c.n_marked == 0 for c in self._cats)
-
     def on_resize(self, old_capacities, new_capacities) -> None:
         for alpha, c in enumerate(self._cats):
             old, new = int(old_capacities[alpha]), int(new_capacities[alpha])

@@ -176,8 +176,8 @@ class ServiceClient:
             if retry is None:
                 raise
             # a retry-armed client tolerates a down server at dial time
-            # (mid-outage construction): request_resilient redials on
-            # every attempt, so the budget decides when to give up
+            # (mid-outage construction): every request dials while no
+            # connection is open, so the budget decides when to give up
 
     def _connect(self) -> None:
         try:
@@ -201,9 +201,13 @@ class ServiceClient:
     # transport
     # ------------------------------------------------------------------
     def request(self, payload: dict) -> dict:
-        """Send one request object, return its response object."""
+        """Send one request object, return its response object.
+
+        Dials first when no connection is open (the constructor's dial
+        failed under a ``retry`` budget, or the connection was closed).
+        """
         if self._file is None:
-            raise ServiceError("client is closed")
+            self._connect()
         if self.chaos is not None:
             fault = self.chaos.next_fault()
             if fault is not None:
@@ -253,10 +257,10 @@ class ServiceClient:
     def request_resilient(self, op: str, payload: dict) -> dict:
         """One request under the retry budget.
 
-        Each attempt charges the budget, dials again when the socket is
-        closed, and sends; a transport failure (:class:`ServiceError`
-        from the wire) closes the socket and backs off.  When the budget
-        runs dry the next charge raises a typed
+        Each attempt charges the budget and sends (:meth:`request` dials
+        when the socket is closed); a transport failure
+        (:class:`ServiceError` from the wire) closes the socket and backs
+        off.  When the budget runs dry the next charge raises a typed
         :class:`~repro.errors.DeadlineExceeded`.  Admission rejections
         come back verbatim — they are answers, not failures.  Without a
         ``retry`` budget this is plain :meth:`request`.
@@ -267,8 +271,6 @@ class ServiceClient:
         while True:
             session.charge()
             try:
-                if self._file is None:
-                    self._connect()
                 return self.request(payload)
             except ServiceError as exc:
                 # Always tear the socket down: after a timeout or a lost

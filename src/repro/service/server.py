@@ -35,6 +35,7 @@ import json
 import threading
 
 from repro.errors import ReproError, ServiceError
+from repro.io.serialize import _int_field
 from repro.service.chaos import ChaosConfig, ChaosSchedule
 from repro.service.core import SchedulingService
 from repro.service.queue import FairSubmissionQueue
@@ -226,11 +227,13 @@ class ServiceServer:
         try:
             job = payload["job"]
             release = payload.get("release_time")
+            if release is not None:
+                release = _int_field(payload, "release_time", "request")
             token = payload.get("token")
             return self.service.submit(
                 tenant,
                 job,
-                release_time=None if release is None else int(release),
+                release_time=release,
                 token=None if token is None else str(token),
             )
         except Exception as exc:  # noqa: BLE001 - wire-facing boundary
@@ -335,9 +338,9 @@ class ServiceServer:
                 self._work.set()
                 return await fut
             if op == "status":
-                return svc.status(int(payload["job_id"]))
+                return svc.status(_int_field(payload, "job_id", "request"))
             if op == "cancel":
-                return svc.cancel(int(payload["job_id"]))
+                return svc.cancel(_int_field(payload, "job_id", "request"))
             if op == "stats":
                 return svc.stats()
             if op == "ping":

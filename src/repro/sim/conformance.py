@@ -16,7 +16,10 @@ True
 Every scenario is also run once more per engine *untraced* — the regime
 where the fast engine takes its lean kernel (recording a trace turns it
 off) — and the result fingerprint, the final state ``digest()`` and a
-``checkpoint()`` taken half way through must match too.
+``checkpoint()`` taken half way through must match too.  So must the
+telemetry of that run and of :func:`run_sliced_conformance`'s driven
+run: every metric family except ``krad_step_wall_seconds``, the one no
+two runs share.
 
 ``build`` is a zero-argument factory returning the keyword arguments of
 :func:`~repro.sim.engine.simulate` (minus ``engine``); it is invoked
@@ -37,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ReproError
+from repro.obs import Observability
 from repro.sim.engine import engine_class, simulate
 from repro.sim.journal import Journal, read_journal
 from repro.sim.metrics import summarize_result, summarize_robustness
@@ -103,6 +107,9 @@ class ConformanceReport:
     #: per-engine result fingerprint, final digest and mid-run checkpoint
     #: of the untraced run (empty for sliced runs)
     untraced: dict[str, dict] = field(default_factory=dict)
+    #: per-engine metrics export of the untraced or driven run, minus
+    #: the wall-time histogram
+    telemetry: dict[str, dict | None] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -120,15 +127,28 @@ def _first_trace_divergence(a: dict, b: dict) -> str:
     return f"step counts differ: {len(a['steps'])} vs {len(b['steps'])}"
 
 
-def _untraced_run(build: Callable[[], dict], engine: str, t_mid: int) -> dict:
+def _telemetry(obs: Observability) -> dict | None:
+    """``obs``'s metrics export minus the wall-time histogram."""
+    if obs.metrics is None:
+        return None
+    out = obs.metrics.to_dict()
+    del out["krad_step_wall_seconds"]
+    return out
+
+
+def _untraced_run(
+    build: Callable[[], dict], engine: str, t_mid: int
+) -> tuple[dict, dict | None]:
     """Run ``build``'s scenario untraced, pausing at ``t_mid``.
 
-    Returns the result fingerprint, the final state digest and the
-    checkpoint taken at the pause (``None`` if the run was over by then).
+    Returns the result fingerprint, the final state digest, the
+    checkpoint taken at the pause (``None`` if the run was over by then)
+    and the run's telemetry.
     """
     kwargs = build()
     kwargs.pop("journal", None)
     kwargs["record_trace"] = False
+    obs = kwargs["obs"] = kwargs.get("obs") or Observability()
     sim = engine_class(engine)(
         kwargs.pop("machine"),
         kwargs.pop("scheduler"),
@@ -144,7 +164,7 @@ def _untraced_run(build: Callable[[], dict], engine: str, t_mid: int) -> dict:
         "result": result_fingerprint(result),
         "digest": sim.digest(),
         "checkpoint": checkpoint,
-    }
+    }, _telemetry(obs)
 
 
 def run_conformance(
@@ -169,6 +189,7 @@ def run_conformance(
     robustness: dict[str, dict] = {}
     journal_digests: dict[str, list] = {}
     untraced: dict[str, dict] = {}
+    telemetry: dict[str, dict | None] = {}
     t_mid = None
     for engine in engines:
         kwargs = build()
@@ -187,7 +208,9 @@ def run_conformance(
         )
         if t_mid is None:
             t_mid = result.makespan // 2
-        untraced[engine] = _untraced_run(build, engine, t_mid)
+        untraced[engine], telemetry[engine] = _untraced_run(
+            build, engine, t_mid
+        )
         fingerprints[engine] = result_fingerprint(result)
         traces[engine] = trace_fingerprint(result)
         metrics[engine] = (
@@ -226,6 +249,7 @@ def run_conformance(
         robustness=robustness,
         journal_digests=journal_digests,
         untraced=untraced,
+        telemetry=telemetry,
     )
     _diff_reports(report, check_journal=check_journal)
     return report
@@ -240,12 +264,13 @@ def _diff_reports(report: ConformanceReport, *, check_journal: bool) -> None:
             ("result", report.fingerprints),
             ("metrics", report.metrics),
             ("robustness", report.robustness),
+            ("telemetry", report.telemetry),
         ):
             if store[base] != store[other]:
                 diff = {
-                    k: (store[base][k], store[other][k])
-                    for k in store[base]
-                    if store[base][k] != store[other].get(k)
+                    k: (store[base].get(k), store[other].get(k))
+                    for k in store[base].keys() | store[other].keys()
+                    if store[base].get(k) != store[other].get(k)
                 }
                 report.mismatches.append(
                     f"{name} mismatch {base} vs {other}: {diff!r}"
@@ -346,7 +371,7 @@ def run_sliced_conformance(
     pinpoints the exact inject/advance that broke equivalence rather
     than surfacing as a different final makespan.  The script's residue
     is then finalized with ``run()`` (whose final digest is logged too)
-    and compared with the full batch fingerprint/trace/metrics
+    and compared with the full batch fingerprint/trace/telemetry
     machinery.  With ``check_journal`` each engine additionally journals
     the driven run and the journal's step/submit/cancel record sequence
     (with per-step digests) must match — proving the service's
@@ -357,6 +382,7 @@ def run_sliced_conformance(
     robustness: dict[str, dict] = {}
     journal_digests: dict[str, list] = {}
     slice_logs: dict[str, list] = {}
+    telemetry: dict[str, dict | None] = {}
     for engine in engines:
         kwargs = build()
         machine = kwargs.pop("machine")
@@ -368,6 +394,7 @@ def run_sliced_conformance(
                 "RNG state, so auto-seeded runs differ trivially"
             )
         kwargs.pop("journal", None)  # journaling is driven by check_journal
+        obs = kwargs["obs"] = kwargs.get("obs") or Observability()
         with tempfile.TemporaryDirectory() as tmp:
             journal = None
             if check_journal:
@@ -431,6 +458,7 @@ def run_sliced_conformance(
                     digests.append(("truncated", True))
                 journal_digests[engine] = digests
         slice_logs[engine] = log
+        telemetry[engine] = _telemetry(obs)
         fingerprints[engine] = result_fingerprint(result)
         traces[engine] = trace_fingerprint(result)
         robustness[engine] = summarize_robustness(result).to_dict()
@@ -446,6 +474,7 @@ def run_sliced_conformance(
         robustness=robustness,
         journal_digests=journal_digests,
         slices=slice_logs,
+        telemetry=telemetry,
     )
     _diff_reports(report, check_journal=check_journal)
     return report

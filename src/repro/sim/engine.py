@@ -620,8 +620,6 @@ class Simulator:
                 # time is separately bounded by max_stall_steps.
                 max_steps = 32 * max_steps + self._max_stall_steps
         self._max_steps = int(max_steps)
-        #: clock target of the current stepping loop (see _step_until)
-        self._t_stop: float = math.inf
         self._state: _RunState | None = None
         self._result: SimulationResult | None = None
 
@@ -693,13 +691,7 @@ class Simulator:
         return min(candidates) if candidates else None
 
     def _step_until(self, t_stop: float) -> None:
-        """Step while work remains and the clock is before ``t_stop``.
-
-        The target is kept on the engine so a step that covers several
-        clock ticks at once (the fast engine's quiescent-span skip) never
-        carries the clock past it.
-        """
-        self._t_stop = t_stop
+        """Step while work remains and the clock is before ``t_stop``."""
         while self._unfinished() and self._state.t < t_stop:
             self._step()
 

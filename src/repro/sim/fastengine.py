@@ -15,8 +15,9 @@ decides whether the run is *lean-eligible*: the scheduler is exactly
 ids or per-job state within a step (no trace, fault model, supervisor or
 ``on_step`` hook) on a unit-speed machine.  Every other run executes the
 reference :meth:`Simulator._step` unchanged — for DAG jobs, other
-schedulers and traced runs the reference step is the faster one.  A lean run steps
-through three mechanisms:
+schedulers and traced runs the reference step is the faster one.  A lean
+run takes exactly the reference engine's unit steps, each through two
+mechanisms:
 
 1. **Phase arrays.**  The jobs' runtime state — current-phase remaining
    work, parallelism, desire, phase index, executed counter — lives in
@@ -38,18 +39,7 @@ through three mechanisms:
    batch hands back the rows it served and each category's total along
    with the allotment matrix, so the step does not reduce it again.
 
-3. **Quiescent-span skipping.**  After a step in which every category
-   was in DEQ mode (no open round-robin cycle) and the whole desire
-   matrix fits under the capacities, the next allocation is provably the
-   desire matrix itself, repeated verbatim — so the engine advances
-   ``s`` steps analytically in O(1): ``t += s``, ``busy += s * totals``,
-   and one bulk array update.  ``s`` is the largest span in which no
-   desire changes, no job completes, no arrival lands and the stepping
-   loop's clock target is not passed.  Churn (capacity faults included)
-   disables the skip — every unit step must see its own capacities — and
-   so does a journal, which holds one digest record per unit step.
-
-A journaled run stays lean.  Each unit step ends in the reference step's
+A journaled run stays lean.  Each step ends in the reference step's
 journal tail (:meth:`Simulator._journal_step`): its digest reads the live
 jobs' remaining work straight from the arrays (``R`` plus each job's
 precomputed future-phase work), and a checkpoint-delta record flushes
@@ -114,7 +104,7 @@ class FastSimulator(Simulator):
         # Strict type checks: a KRad or PhaseJob *subclass* may override
         # allocate or execute, so only the exact classes run lean.  A
         # journal does not matter: its step records read only the digest
-        # (answered from the arrays) and the quiescent skip is off under it.
+        # (answered from the arrays).
         self._ft_lean = (
             type(self._scheduler) is KRad
             and self._max_speed == 1
@@ -349,23 +339,6 @@ class FastSimulator(Simulator):
             return float(buf.sum()) + carry
         return float(buf.sum())
 
-    def _obs_span(self, t: int, s: int, totals: np.ndarray) -> None:
-        """Credit an analytically skipped quiescent span of ``s`` steps."""
-        obs = self._obs
-        if obs.metrics is not None:
-            obs.metrics.record_span(
-                s,
-                np.asarray(totals, dtype=np.int64),
-                sum(self._state.last_caps),
-            )
-        if obs.bus.active:
-            obs.bus.emit(
-                t,
-                "steady_span",
-                steps=s,
-                allocated=np.asarray(totals).tolist(),
-            )
-
     # ------------------------------------------------------------------
     def _step(self) -> None:
         """One time step: the lean kernel, or the reference step."""
@@ -477,35 +450,3 @@ class FastSimulator(Simulator):
             self._journal_step(t)
         if prof is not None:
             prof.lap("bookkeeping")
-
-        # Quiescent-span skip: if this step was fully satisfied with
-        # every category in DEQ mode, and no event can land before the
-        # desires change, the next s steps are this step verbatim.  A
-        # journal keeps unit steps: each has its own digest record.
-        if (
-            progress > 0
-            and not arrivals
-            and not completions
-            and not self._faulty
-            and self._journal is None
-            and self._ft_batch.quiescent()
-        ):
-            totals = D.sum(axis=0)
-            if (totals <= np.asarray(caps_t, dtype=np.int64)).all():
-                mask = D > 0
-                # every live PhaseJob has an active category, so the
-                # entry-wise min is the span in which no desire changes
-                s = int((self._ft_R[mask] // D[mask]).min()) - 1
-                next_release = self._next_release()
-                if next_release is not None:
-                    s = min(s, next_release - t)
-                s = int(min(s, self._max_steps - t, self._t_stop - t))
-                if s >= 1:
-                    st.t += s
-                    st.busy += s * totals
-                    self._ft_stale = True
-                    self._ft_LPI[:] = self._ft_PI
-                    self._ft_EC += s * D.sum(axis=1)
-                    self._ft_R -= s * D
-                    if obs is not None:
-                        self._obs_span(t, s, totals)

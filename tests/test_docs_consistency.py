@@ -181,3 +181,72 @@ class TestShardStateDocs:
             f"docs/SERVICE.md documents shard states {documented}, "
             f"repro.service.SHARD_STATES is {SHARD_STATES}"
         )
+
+
+class TestTelemetryDocs:
+    """docs/OBSERVABILITY.md names exactly the event kinds and counter
+    families the code emits, in both directions."""
+
+    def test_event_table_lists_every_event_kind(self):
+        from repro.obs import EVENT_KINDS
+
+        section = read("docs/OBSERVABILITY.md").split(
+            "\n## The event bus", 1
+        )[1]
+        section = section.split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z_]+)` \|", section, re.M)
+        assert sorted(documented) == sorted(EVENT_KINDS), (
+            f"docs/OBSERVABILITY.md documents event kinds {documented}, "
+            f"repro.obs.EVENT_KINDS is {EVENT_KINDS}"
+        )
+
+    def test_counters_paragraph_names_every_counter_family(self):
+        import numpy as np
+
+        from repro.obs import RunMetrics
+
+        m = RunMetrics()  # one of every recorded event
+        m.record_run_start()
+        m.record_step(
+            desired=np.array([2]),
+            allocated=np.array([1]),
+            progress=1,
+            arrivals=1,
+            completions=1,
+            stalled=True,
+            realloc=1.0,
+            rr_depths=[1],
+            wall=1e-4,
+            caps_total=2,
+        )
+        m.record_task_failures(1)
+        m.record_job_kill()
+        m.record_retry()
+        m.record_job_failed()
+        m.record_incident("scripted-violation", quarantined=True)
+        m.record_checkpoint()
+        m.record_journal("step")
+        m.record_submission("tenant")
+        m.record_rejection("quota")
+        m.record_cancellation()
+        m.record_state_change("degraded")
+        m.record_run_end(
+            makespan=1,
+            idle_steps=1,
+            utilization=[0.5],
+            transitions=[{"deq_to_rr": 1}],
+        )
+        exported = {
+            name.removeprefix("krad_")
+            for name, family in m.to_dict().items()
+            if family["type"] == "counter"
+        }
+        paragraph = read("docs/OBSERVABILITY.md").split("**Counters**", 1)[1]
+        paragraph = paragraph.split("\n\n", 1)[0]
+        documented = set(
+            re.findall(r"`([a-z_]+_total)(?:\{[^`]*\})?`", paragraph)
+        )
+        assert documented == exported, (
+            f"documented only: {sorted(documented - exported)}, "
+            f"exported only: {sorted(exported - documented)}"
+        )

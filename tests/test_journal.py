@@ -276,8 +276,7 @@ class TestJournaledRuns:
     def test_fast_engine_recovers_lean_eligible_run(self, tmp_path):
         """A journaled K-RAD phase-job run steps lean, yet recovery must
         replay one unit step per journal record, and the resumed run
-        must journal every step: the quiescent skip, which this light
-        workload would take, stays off under a journal."""
+        must journal every step."""
         machine = KResourceMachine((6, 4))
         js = workloads.light_phase_jobset(
             np.random.default_rng(0), machine, 4
@@ -495,7 +494,6 @@ class TestJournaledLeanRuns:
             _assert_identical(ref, result)
         fast, reference = runs["fast"][1], runs["reference"][1]
         assert fast.steps == reference.steps
-        assert fast.steady_steps == 0
         assert fast.realloc_units == reference.realloc_units
         assert fast.realloc.count == reference.realloc.count
 

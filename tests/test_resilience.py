@@ -19,6 +19,7 @@ from repro.service import (
     SchedulingService,
     ServiceClient,
     ServiceConfig,
+    ThreadedServer,
     Watchdog,
     service_state_code,
 )
@@ -173,6 +174,23 @@ class TestRetryBudget:
         assert exc.value.attempts == 20
         assert exc.value.op == "ping"
         assert "cannot connect" in exc.value.last_error
+
+    def test_client_built_while_down_dials_on_its_next_request(self):
+        # The constructor's failed dial is tolerated under a budget; once
+        # the server is up, drain() (which never retries) dials itself.
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        cli = ServiceClient(
+            ("127.0.0.1", port),
+            timeout=5.0,
+            retry=RetryBudget(max_attempts=2, max_backoff_s=0.01),
+        )
+        svc = SchedulingService(
+            ServiceConfig(capacities=(4, 2)), obs=Observability()
+        )
+        with ThreadedServer(svc, port=port), cli:
+            assert cli.drain()["ok"]
 
 
 # ----------------------------------------------------------------------

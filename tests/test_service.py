@@ -260,10 +260,38 @@ def _malformed(field):
         doc["phases"][0]["work"][0] = "three"
     elif field == "dag":
         doc["backend"] = "dag"
+    elif field == "float-release":
+        doc["release_time"] = 2.9
+        return doc, "'release_time'"
+    elif field == "float-work":
+        doc["phases"][0]["work"][0] = 2.7
+        return doc, "'phases[0].work'"
+    elif field == "bool-parallelism":
+        doc["phases"][0]["parallelism"][0] = True
+        return doc, "'phases[0].parallelism'"
+    elif field == "str-kdag-category":
+        rng = np.random.default_rng(8)
+        doc = job_to_dict(workloads.random_dag_jobset(rng, 3, 1).jobs[0])
+        doc["dag"]["categories"][0] = str(doc["dag"]["categories"][0])
+        return doc, "'categories'"
     return doc, f"'{field}'"
 
 
-MALFORMED = ("phases", "phases[0]", "phases-as-string", "phases[0].work", "dag")
+MALFORMED = (
+    "phases", "phases[0]", "phases-as-string", "phases[0].work", "dag",
+    "float-release", "float-work", "bool-parallelism", "str-kdag-category",
+)
+
+#: a job document whose fields once loaded truncated or converted, as
+#: work [2 1], parallelism [3 1] and release 2
+NON_INTEGER_JOB = {
+    "format": "job",
+    "version": 1,
+    "backend": "phase",
+    "job_id": 7,
+    "release_time": 2.9,
+    "phases": [{"work": [2.7, 1], "parallelism": ["3", True]}],
+}
 
 
 class TestMalformedJobDocuments:
@@ -279,6 +307,51 @@ class TestMalformedJobDocuments:
         with pytest.raises(SerializationError) as exc:
             svc.submit("t", doc)
         assert name in str(exc.value)
+        assert svc.stats()["accepted"] == 0
+
+    def test_non_integer_fields_refused_in_order(self):
+        """Each refusal names its field; repairing it reaches the next."""
+        svc = SchedulingService(
+            ServiceConfig(capacities=CAPS), obs=Observability()
+        )
+        doc = json.loads(json.dumps(NON_INTEGER_JOB))
+        phase = doc["phases"][0]
+        for name, repair in (
+            ("'release_time'", lambda: doc.update(release_time=2)),
+            ("'phases[0].work'", lambda: phase.update(work=[2, 1])),
+            ("'phases[0].parallelism'", lambda: None),
+        ):
+            with pytest.raises(SerializationError) as exc:
+                svc.submit("t", doc)
+            assert name in str(exc.value)
+            repair()
+        assert svc.stats()["accepted"] == 0
+
+    def test_wire_refuses_non_integer_fields(self):
+        """The job document, a submit request's own ``release_time`` and
+        a status or cancel request's ``job_id`` are refused naming the
+        field, never truncated."""
+        svc = SchedulingService(
+            ServiceConfig(capacities=CAPS), obs=Observability()
+        )
+        good = job_to_dict(_jobs(8, 1)[0])
+        with ThreadedServer(svc) as ts, ServiceClient(ts.address) as cli:
+            for payload, name in (
+                (
+                    {"op": "submit", "tenant": "t", "job": NON_INTEGER_JOB},
+                    "'release_time'",
+                ),
+                (
+                    {"op": "submit", "tenant": "t", "job": good,
+                     "release_time": 2.9},
+                    "'release_time'",
+                ),
+                ({"op": "status", "job_id": 1.5}, "'job_id'"),
+                ({"op": "cancel", "job_id": True}, "'job_id'"),
+            ):
+                resp = cli.request(payload)
+                assert resp["ok"] is False, payload
+                assert name in resp["error"], (payload, resp)
         assert svc.stats()["accepted"] == 0
 
     def test_wire_reply_names_the_field(self):
